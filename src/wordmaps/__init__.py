@@ -41,33 +41,25 @@ from .tracepoly import (
     cyclotomic_polynomial,
     cyclotomic_root_check,
     dickson,
+    factorization_certificate,
     factorization_sum_form,
     render_poly,
+    swap_certificate,
     tau,
     verify_factorization,
     verify_swap,
 )
 from .words import (
-    Letter,
     Shape,
-    Variant,
     Word,
-    WordFamilySpec,
     WordSyntaxError,
-    build_word,
     commutator,
-    concat,
     cyclic_reduce,
-    exponent_sum,
     family_word,
-    free_reduce,
-    inverse,
     is_proper_power,
     parse_word,
-    power,
     render,
     standard_corpus,
-    variant_for,
     y1,
     yk,
 )

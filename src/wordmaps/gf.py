@@ -4,15 +4,15 @@ Field elements are coefficient vectors modulo a fixed monic irreducible
 modulus.  The modulus for (p, n) is deterministic — the first irreducible
 among the monic degree-n candidates ordered lexicographically on the
 coefficient tuple compared low-degree-first — so every report reproduces
-bit-for-bit across machines.  Odd characteristic only.
+bit-for-bit across machines.  Enumeration orders are fixed and reports
+carry no timing, so two identical runs give identical reports.  Odd
+characteristic only.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -20,8 +20,7 @@ from .arith import is_prime
 from .tracepoly import TracePolynomial, tau
 from .words import Word
 
-DEFAULT_PAIR_BUDGET = 10**8
-DEFAULT_SCAN_BUDGET = 10**8
+DEFAULT_BUDGET = 10**8
 
 
 class BudgetExceededError(RuntimeError):
@@ -245,32 +244,8 @@ class FqElement:
         field = self.field
         if field.n == 1:
             return FqElement(field, (pow(self.coeffs[0], field.p - 2, field.p),))
-        # extended Euclid in F_p[x]
-        p = field.p
-        r0, r1 = _ptrim(field.modulus), _ptrim(self.coeffs)
-        s0, s1 = (), (1,)
-        while r1:
-            # r0 = q*r1 + r2
-            q: list[int] = [0] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
-            rem = list(r0)
-            inv_lead = pow(r1[-1], p - 2, p)
-            while len(rem) >= len(r1) and any(rem):
-                while rem and rem[-1] == 0:
-                    rem.pop()
-                if len(rem) < len(r1):
-                    break
-                factor = rem[-1] * inv_lead % p
-                shift = len(rem) - len(r1)
-                q[shift] = factor
-                for i, c in enumerate(r1):
-                    rem[shift + i] = (rem[shift + i] - factor * c) % p
-            r0, r1 = r1, _ptrim(rem)
-            s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-        # r0 is a unit (the gcd); normalize
-        scale = pow(r0[0], p - 2, p)
-        inv = _ptrim([c * scale % p for c in s0])
-        inv = _pmod(inv, field.modulus, p)
-        return FqElement(field, inv + (0,) * (field.n - len(inv)))
+        # Fermat: a^(q-1) = 1 in F_q*
+        return self ** (field.q - 2)
 
     def __pow__(self, e: int) -> "FqElement":
         if e < 0:
@@ -397,22 +372,12 @@ def psl2_canonical(m: Mat2) -> Mat2:
     raise ValueError("zero matrix cannot be sign-normalized")
 
 
-def _psl2_key(m: Mat2, half: int) -> tuple[int, int, int, int]:
-    for e in (m.a, m.b, m.c, m.d):
-        for coef in e.coeffs:
-            if coef:
-                if coef > half:
-                    m = -m
-                return (m.a.index, m.b.index, m.c.index, m.d.index)
-    raise ValueError("zero matrix cannot be sign-normalized")
-
-
 def eval_word(w: Word, x: Mat2, y: Mat2) -> Mat2:
     """Left-to-right product of the letter images; the inverse of
     [a b; c d] with determinant 1 is [d -b; -c a]."""
     if x.field != y.field:
         raise ValueError("x and y must live over the same field")
-    mats = {(1, 1): x, (1, -1): x.inv(), (2, 1): y, (2, -1): y.inv()}
+    mats = {1: x, -1: x.inv(), 2: y, -2: y.inv()}
     acc = Mat2.identity(x.field)
     for letter in w:
         acc = acc * mats[letter]
@@ -426,7 +391,8 @@ class ImageReport:
     `count` is the number of pair evaluations (pairs method) or scanned
     trace triples (scan method); `surjective` is only meaningful for the
     pairs method and stays None for the scan, which over-approximates the
-    attainable traces.
+    attainable traces.  Reports carry no timing, so identical runs give
+    identical reports.
     """
 
     field: FieldSpec
@@ -436,7 +402,6 @@ class ImageReport:
     misses_involutions: bool
     surjective: bool | None
     count: int
-    elapsed_ms: float
 
     def to_dict(self) -> dict:
         return {
@@ -450,28 +415,10 @@ class ImageReport:
             "misses_involutions": self.misses_involutions,
             "surjective": self.surjective,
             "pairs_evaluated": self.count,
-            "elapsed_ms": self.elapsed_ms,
         }
 
 
-def _ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total)) if total else 1
-    step = -(-total // parts)
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)] or [(0, 0)]
-
-
-def _run_chunks(worker, total: int, workers: int):
-    chunks = _ranges(total, workers)
-    if workers <= 1 or len(chunks) <= 1:
-        return [worker(lo, hi) for lo, hi in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker, lo, hi) for lo, hi in chunks]
-        return [f.result() for f in futures]
-
-
-def enumerate_image_pairs(
-    w: Word, field: FieldSpec, budget: int | None = None, workers: int = 1
-) -> ImageReport:
+def enumerate_image_pairs(w: Word, field: FieldSpec, budget: int | None = None) -> ImageReport:
     """Evaluate w on every pair in SL2(F_q)^2 and collect the image in
     PSL2(F_q) (sign-normalized lifts suffice: w(±x, ±y) differs from
     w(x, y) by a sign only).
@@ -481,7 +428,7 @@ def enumerate_image_pairs(
     PSL2(F_q).  Raises BudgetExceededError when |SL2|^2 exceeds the
     budget (default 10^8); use trace_scan for those fields.
     """
-    budget = DEFAULT_PAIR_BUDGET if budget is None else budget
+    budget = DEFAULT_BUDGET if budget is None else budget
     group = sl2_group(field)
     total = len(group) ** 2
     if total > budget:
@@ -489,32 +436,19 @@ def enumerate_image_pairs(
             f"pair enumeration needs {total} evaluations, over the budget "
             f"{budget}; use trace_scan instead"
         )
-    start = time.perf_counter()
-    letters = tuple(w.letters)
+    letters = w.letters
     ginv = tuple(g.inv() for g in group)
     identity = Mat2.identity(field)
-    half = (field.p - 1) // 2
-
-    def run(lo: int, hi: int) -> tuple[set, set]:
-        traces: set[FqElement] = set()
-        images: set[tuple[int, int, int, int]] = set()
-        for i in range(lo, hi):
-            x, xi = group[i], ginv[i]
-            for j, y in enumerate(group):
-                mats = {(1, 1): x, (1, -1): xi, (2, 1): y, (2, -1): ginv[j]}
-                acc = identity
-                for letter in letters:
-                    acc = acc * mats[letter]
-                traces.add(acc.trace())
-                images.add(_psl2_key(acc, half))
-        return traces, images
-
     traces: set[FqElement] = set()
-    images: set[tuple[int, int, int, int]] = set()
-    for part_traces, part_images in _run_chunks(run, len(group), workers):
-        traces |= part_traces
-        images |= part_images
-    elapsed = (time.perf_counter() - start) * 1000.0
+    images: set[Mat2] = set()
+    for x, xi in zip(group, ginv):
+        for y, yi in zip(group, ginv):
+            mats = {1: x, -1: xi, 2: y, -2: yi}
+            acc = identity
+            for letter in letters:
+                acc = acc * mats[letter]
+            traces.add(acc.trace())
+            images.add(psl2_canonical(acc))
     return ImageReport(
         field=field,
         word=str(w),
@@ -523,13 +457,10 @@ def enumerate_image_pairs(
         misses_involutions=field.zero() not in traces,
         surjective=len(images) == psl2_order(field.q),
         count=total,
-        elapsed_ms=elapsed,
     )
 
 
-def trace_scan(
-    w: Word, field: FieldSpec, budget: int | None = None, workers: int = 1
-) -> ImageReport:
+def trace_scan(w: Word, field: FieldSpec, budget: int | None = None) -> ImageReport:
     """Evaluate tau(w) at every (s, t, u) in F_q^3 and report the attained
     values.
 
@@ -539,14 +470,13 @@ def trace_scan(
     which triples are realized.  The scan says nothing about
     surjectivity, so `surjective` is None.
     """
-    budget = DEFAULT_SCAN_BUDGET if budget is None else budget
+    budget = DEFAULT_BUDGET if budget is None else budget
     q = field.q
     total = q**3
     if total > budget:
         raise BudgetExceededError(
             f"trace scan needs {total} evaluations, over the budget {budget}"
         )
-    start = time.perf_counter()
     p = field.p
     terms = [
         (a, b, c, field.from_int(coef))
@@ -562,31 +492,20 @@ def trace_scan(
             row.append(row[-1] * e)
         pows.append(row)
     zero = field.zero()
-
-    def run(lo: int, hi: int) -> set:
-        attained: set[FqElement] = set()
-        for si in range(lo, hi):
-            sp = pows[si]
-            for ti in range(q):
-                tp = pows[ti]
-                ucoeffs: dict[int, FqElement] = {}
-                for a, b, c, coef in terms:
-                    v = coef * sp[a] * tp[b]
-                    prev = ucoeffs.get(c)
-                    ucoeffs[c] = v if prev is None else prev + v
-                items = list(ucoeffs.items())
-                for ui in range(q):
-                    up = pows[ui]
-                    val = zero
-                    for c, coef in items:
-                        val = val + coef * up[c]
-                    attained.add(val)
-        return attained
-
     attained: set[FqElement] = set()
-    for part in _run_chunks(run, q, workers):
-        attained |= part
-    elapsed = (time.perf_counter() - start) * 1000.0
+    for sp in pows:
+        for tp in pows:
+            ucoeffs: dict[int, FqElement] = {}
+            for a, b, c, coef in terms:
+                v = coef * sp[a] * tp[b]
+                prev = ucoeffs.get(c)
+                ucoeffs[c] = v if prev is None else prev + v
+            items = list(ucoeffs.items())
+            for up in pows:
+                val = zero
+                for c, coef in items:
+                    val = val + coef * up[c]
+                attained.add(val)
     return ImageReport(
         field=field,
         word=str(w),
@@ -595,7 +514,6 @@ def trace_scan(
         misses_involutions=zero not in attained,
         surjective=None,
         count=total,
-        elapsed_ms=elapsed,
     )
 
 

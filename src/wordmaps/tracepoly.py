@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .arith import divisors, kpm
-from .words import Letter, Shape, Word, X1, family_word, y1, yk
+from .words import Shape, Word, family_word, y1, yk
 
 Monomial = tuple[int, int, int]
 
@@ -175,22 +175,26 @@ def _monomial_str(m: Monomial) -> str:
     )
 
 
-def render_poly(p: TracePolynomial) -> str:
-    """Canonical text: terms in graded-lex descending order, joined with
-    " + " / " − ", coefficient 1 and exponent 1 elided, e.g. "s^2*t − 2*u + 3"."""
-    if not p.terms:
-        return "0"
-    ordered = sorted(p.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
+def _join_terms(terms: Iterable[tuple[int, str]]) -> str:
+    """Signed sum of (nonzero coefficient, monomial text) pairs, in the
+    given order: " + " / " − " between terms, a leading "−" for a negative
+    first term, and coefficient 1 elided unless the monomial is empty."""
     pieces = []
-    for idx, (m, c) in enumerate(ordered):
-        mono = _monomial_str(m)
+    for c, mono in terms:
         mag = abs(c)
         body = mono if mag == 1 and mono else (f"{mag}*{mono}" if mono else str(mag))
-        if idx == 0:
+        if not pieces:
             pieces.append(body if c > 0 else MINUS_SIGN + body)
         else:
             pieces.append((" + " if c > 0 else f" {MINUS_SIGN} ") + body)
-    return "".join(pieces)
+    return "".join(pieces) or "0"
+
+
+def render_poly(p: TracePolynomial) -> str:
+    """Canonical text: terms in graded-lex descending order, joined with
+    " + " / " − ", coefficient 1 and exponent 1 elided, e.g. "s^2*t − 2*u + 3"."""
+    ordered = sorted(p.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
+    return _join_terms((c, _monomial_str(m)) for m, c in ordered)
 
 
 @dataclass(frozen=True)
@@ -244,10 +248,14 @@ class SymbolicGroupElement:
             self.cx + T * self.cxy,
         )
 
-    def times_letter(self, letter: Letter) -> "SymbolicGroupElement":
-        if letter.gen == 1:
-            return self._times_x() if letter.sign > 0 else self.scale(S) - self._times_x()
-        return self._times_y() if letter.sign > 0 else self.scale(T) - self._times_y()
+    def times_letter(self, letter: int) -> "SymbolicGroupElement":
+        if letter == 1:
+            return self._times_x()
+        if letter == -1:
+            return self.scale(S) - self._times_x()
+        if letter == 2:
+            return self._times_y()
+        return self.scale(T) - self._times_y()
 
     def __mul__(self, other: "SymbolicGroupElement") -> "SymbolicGroupElement":
         ax = self._times_x()
@@ -399,21 +407,11 @@ class IntPoly:
         return acc
 
     def render(self, var: str = "T") -> str:
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if not c:
-                continue
-            mono = "" if e == 0 else (var if e == 1 else f"{var}^{e}")
-            mag = abs(c)
-            body = mono if mag == 1 and mono else (f"{mag}*{mono}" if mono else str(mag))
-            if not pieces:
-                pieces.append(body if c > 0 else MINUS_SIGN + body)
-            else:
-                pieces.append((" + " if c > 0 else f" {MINUS_SIGN} ") + body)
-        return "".join(pieces)
+        return _join_terms(
+            (c, "" if e == 0 else (var if e == 1 else f"{var}^{e}"))
+            for e, c in reversed(list(enumerate(self.coeffs)))
+            if c
+        )
 
     def __str__(self) -> str:
         return self.render()
@@ -562,16 +560,22 @@ def cyclotomic_root_check(k_pm: int) -> bool:
     return True
 
 
-_X1SQ = Word((X1, X1))
+_X1SQ = Word((1, 1))
 _X1NEGSQ = ~_X1SQ
 
 
-def verify_swap(k: int, inner_sign: int = 1) -> bool:
-    """Exact polynomial identity tau(x1^2 y_(k-1)) == tau(x1^(-2) y_k);
-    holds for every integer k and either y1 variant."""
+def swap_certificate(k: int, inner_sign: int = 1) -> tuple[TracePolynomial, TracePolynomial, bool]:
+    """(lhs, rhs, verdict) of the exact polynomial identity
+    tau(x1^2 y_(k-1)) == tau(x1^(-2) y_k); holds for every integer k and
+    either y1 variant."""
     lhs = tau(_X1SQ * yk(inner_sign, k - 1))
     rhs = tau(_X1NEGSQ * yk(inner_sign, k))
-    return lhs == rhs
+    return lhs, rhs, lhs == rhs
+
+
+def verify_swap(k: int, inner_sign: int = 1) -> bool:
+    """The verdict of swap_certificate."""
+    return swap_certificate(k, inner_sign)[2]
 
 
 def factorization_sum_form(k: int, which: Shape, inner_sign: int = 1) -> TracePolynomial:
@@ -585,17 +589,22 @@ def factorization_sum_form(k: int, which: Shape, inner_sign: int = 1) -> TracePo
     return (S * S - 2) * bracket
 
 
+def factorization_certificate(
+    k: int, which: Shape, inner_sign: int = 1
+) -> tuple[TracePolynomial, TracePolynomial, bool]:
+    """(lhs, rhs, verdict) with lhs = tau(family_word) and rhs the
+    alternating sum form; the verdict also requires the traces of
+    x1^2 y_(-k) and x1^(-2) y_k to agree as polynomials."""
+    lhs = tau(family_word(which, inner_sign, k))
+    rhs = factorization_sum_form(k, which, inner_sign)
+    verdict = lhs == rhs and (
+        tau(_X1SQ * yk(inner_sign, -k)) == tau(_X1NEGSQ * yk(inner_sign, k))
+    )
+    return lhs, rhs, verdict
+
+
 def verify_factorization(k: int, which: Shape, inner_sign: int | None = None) -> bool:
-    """Check, for the requested y1 variant (default: both), that
-    tau(build_word) equals the alternating sum form exactly, and that the
-    traces of x1^2 y_(-k) and x1^(-2) y_k agree as polynomials."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    """The verdict of factorization_certificate for the requested y1
+    variant (default: both)."""
     signs = (1, -1) if inner_sign is None else (inner_sign,)
-    for sign in signs:
-        w = family_word(which, sign, k)
-        if tau(w) != factorization_sum_form(k, which, sign):
-            return False
-        if tau(_X1SQ * yk(sign, -k)) != tau(_X1NEGSQ * yk(sign, k)):
-            return False
-    return True
+    return all(factorization_certificate(k, which, sign)[2] for sign in signs)

@@ -1,8 +1,10 @@
 """Freely reduced words over the two generators x1, x2.
 
-A word is a finite sequence of signed letters; every constructor reduces
-its input, so equality of ``Word`` values is equality in the free group
-F_2.  The module also assembles the outer-power word families
+A word is a finite sequence of letters, the signed ints 1, -1, 2, -2 for
+x1, x1^-1, x2, x2^-1, so that inverting a letter is negation.  Every
+constructor reduces its input, so equality of ``Word`` values is equality
+in the free group F_2.  The module also assembles the outer-power word
+families
 
     x1^(+2) * y_k,   x1^(-2) * y_k,   x1^(+2) * y_(-k),
 
@@ -14,34 +16,17 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
+
+ALPHABET = (1, -1, 2, -2)
 
 
-class Letter(NamedTuple):
-    """One signed generator occurrence: ``gen`` in {1, 2}, ``sign`` in {+1, -1}."""
-
-    gen: int
-    sign: int
-
-    def inv(self) -> "Letter":
-        return Letter(self.gen, -self.sign)
-
-    def __str__(self) -> str:
-        return f"x{self.gen}" if self.sign > 0 else f"x{self.gen}^-1"
-
-
-X1 = Letter(1, 1)
-X2 = Letter(2, 1)
-ALPHABET = (X1, X1.inv(), X2, X2.inv())
-
-
-def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    stack: list[Letter] = []
+def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
+    stack: list[int] = []
     for letter in letters:
-        if letter.gen not in (1, 2) or letter.sign not in (1, -1):
+        if type(letter) is not int or letter not in ALPHABET:
             raise ValueError(f"invalid letter {letter!r}")
-        if stack and stack[-1] == (letter.gen, -letter.sign):
+        if stack and stack[-1] == -letter:
             stack.pop()
         else:
             stack.append(letter)
@@ -55,26 +40,23 @@ class Word:
     ``~w`` inverts, ``w ** n`` powers (negative n via the inverse), and
     ``str(w)`` is the canonical run-length text form.
 
-    >>> str(Word([X1, X1, X2]))
+    >>> str(Word([1, 1, 2]))
     'x1^2 x2'
-    >>> Word([X1, X1.inv()]).is_identity()
+    >>> Word([1, -1]).is_identity()
     True
-    >>> str(~Word([X1, X2]))
+    >>> str(~Word([1, 2]))
     'x2^-1 x1^-1'
     """
 
     __slots__ = ("letters",)
 
-    def __init__(self, letters: Iterable[Letter] = ()):
+    def __init__(self, letters: Iterable[int] = ()):
         self.letters = _reduce(letters)
 
     def __len__(self) -> int:
         return len(self.letters)
 
-    def length(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[Letter]:
+    def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
 
     def __eq__(self, other: object) -> bool:
@@ -87,10 +69,7 @@ class Word:
         return Word(self.letters + other.letters)
 
     def __invert__(self) -> "Word":
-        return Word(tuple(letter.inv() for letter in reversed(self.letters)))
-
-    def inverse(self) -> "Word":
-        return ~self
+        return Word(-letter for letter in reversed(self.letters))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
@@ -104,7 +83,7 @@ class Word:
         """Sum of the signs of the letters carrying the given generator."""
         if gen not in (1, 2):
             raise ValueError(f"generator must be 1 or 2, got {gen}")
-        return sum(letter.sign for letter in self.letters if letter.gen == gen)
+        return sum(1 if letter > 0 else -1 for letter in self.letters if abs(letter) == gen)
 
     def syllables(self) -> list[tuple[int, int]]:
         """Maximal runs as (generator, signed exponent) pairs.
@@ -114,10 +93,11 @@ class Word:
         """
         runs: list[tuple[int, int]] = []
         for letter in self.letters:
-            if runs and runs[-1][0] == letter.gen:
-                runs[-1] = (letter.gen, runs[-1][1] + letter.sign)
+            gen, sign = abs(letter), (1 if letter > 0 else -1)
+            if runs and runs[-1][0] == gen:
+                runs[-1] = (gen, runs[-1][1] + sign)
             else:
-                runs.append((letter.gen, letter.sign))
+                runs.append((gen, sign))
         return runs
 
     def __str__(self) -> str:
@@ -127,33 +107,9 @@ class Word:
         return f"Word({render(self)!r})"
 
 
-def free_reduce(letters: Iterable[Letter]) -> Word:
-    """Freely reduce a letter sequence; idempotent and length-nonincreasing."""
-    return Word(letters)
-
-
-def concat(*ws: Word) -> Word:
-    out = Word()
-    for w in ws:
-        out = out * w
-    return out
-
-
-def inverse(w: Word) -> Word:
-    return ~w
-
-
-def power(w: Word, n: int) -> Word:
-    return w ** n
-
-
 def commutator(a: Word, b: Word) -> Word:
     """[a, b] = a^-1 b^-1 a b."""
     return (~a) * (~b) * a * b
-
-
-def exponent_sum(w: Word, gen: int) -> int:
-    return w.exponent_sum(gen)
 
 
 def render(w: Word) -> str:
@@ -255,7 +211,7 @@ class _Parser:
     def parse_factor(self) -> Word:
         kind, value, pos = self.take()
         if kind == "gen":
-            return Word((Letter(value, 1),))
+            return Word((value,))
         if kind == "(":
             inner = self.parse_word((")",))
             self.expect(")")
@@ -291,24 +247,6 @@ def parse_word(text: str) -> Word:
     return out
 
 
-class Variant(enum.Enum):
-    """Sign pair (outer, inner): the outer sign picks x1^(+2) or x1^(-2),
-    the inner sign picks the middle power in y1 = x1^2 x2 x1^(inner*2) x2^-1."""
-
-    PLUS_PLUS = "++"
-    PLUS_MINUS = "+-"
-    MINUS_PLUS = "-+"
-    MINUS_MINUS = "--"
-
-    @property
-    def outer_sign(self) -> int:
-        return 1 if self.value[0] == "+" else -1
-
-    @property
-    def inner_sign(self) -> int:
-        return 1 if self.value[1] == "+" else -1
-
-
 class Shape(enum.Enum):
     """The three studied word shapes: x1^2 y_k, x1^-2 y_k, x1^2 y_(-k)."""
 
@@ -325,24 +263,11 @@ class Shape(enum.Enum):
         return -1 if self is Shape.X2_YNEGK else 1
 
 
-@dataclass(frozen=True)
-class WordFamilySpec:
-    """Family member selector: which y1 variant, and the power k >= 1."""
-
-    variant: Variant
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-
-
 def y1(inner_sign: int = 1) -> Word:
     """The building block x1^2 x2 x1^(inner_sign*2) x2^-1."""
     if inner_sign not in (1, -1):
         raise ValueError(f"inner_sign must be +1 or -1, got {inner_sign}")
-    mid = Letter(1, inner_sign)
-    return Word((X1, X1, X2, mid, mid, X2.inv()))
+    return Word((1, 1, 2, inner_sign, inner_sign, -2))
 
 
 def yk(inner_sign: int, k: int) -> Word:
@@ -350,40 +275,24 @@ def yk(inner_sign: int, k: int) -> Word:
     return y1(inner_sign) ** k
 
 
-def variant_for(which: Shape, inner_sign: int) -> Variant:
-    """The Variant whose outer sign matches the shape's outer power."""
-    outer = "+" if which.outer_sign > 0 else "-"
-    inner = "+" if inner_sign > 0 else "-"
-    return Variant(outer + inner)
-
-
-def build_word(spec: WordFamilySpec, which: Shape) -> Word:
-    """Assemble x1^(outer*2) * y_(±k), freely reduced.
-
-    The spec's outer sign must agree with the shape (X2_YK and X2_YNEGK
-    take PLUS_* variants, XNEG2_YK takes MINUS_*); a mismatch raises
-    ValueError.  Reduced lengths: 6k+2 for the x1^2 shapes and 6k-2 for
-    the x1^-2 shape.
-    """
-    if spec.variant.outer_sign != which.outer_sign:
-        raise ValueError(
-            f"variant {spec.variant.name} has outer sign "
-            f"{spec.variant.outer_sign:+d}, inconsistent with shape {which.value}"
-        )
-    head = Letter(1, which.outer_sign)
-    return Word((head, head)) * yk(spec.variant.inner_sign, which.k_sign * spec.k)
-
-
 def family_word(which: Shape, inner_sign: int, k: int) -> Word:
-    """Convenience wrapper around :func:`build_word`."""
-    return build_word(WordFamilySpec(variant_for(which, inner_sign), k), which)
+    """Assemble x1^(±2) * y_(±k), freely reduced, for k >= 1.
+
+    The shape fixes the outer power and the sign of k; ``inner_sign``
+    picks the y1 variant.  Reduced lengths: 6k+2 for the x1^2 shapes and
+    6k-2 for the x1^-2 shape.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    head = which.outer_sign
+    return Word((head, head)) * yk(inner_sign, which.k_sign * k)
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """Split w = c * core * c^-1 with the core cyclically reduced."""
     letters = w.letters
     lo, hi = 0, len(letters)
-    while hi - lo >= 2 and letters[lo] == (letters[hi - 1].gen, -letters[hi - 1].sign):
+    while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
         lo += 1
         hi -= 1
     return Word(letters[:lo]), Word(letters[lo:hi])
@@ -415,9 +324,9 @@ def is_proper_power(w: Word) -> tuple[bool, Word | None, int | None]:
 def random_reduced_word(rng: random.Random, max_len: int = 12) -> Word:
     """A uniformly grown reduced word of length between 1 and max_len."""
     target = rng.randint(1, max_len)
-    letters: list[Letter] = []
+    letters: list[int] = []
     while len(letters) < target:
-        options = [l for l in ALPHABET if not letters or l != letters[-1].inv()]
+        options = [l for l in ALPHABET if not letters or l != -letters[-1]]
         letters.append(rng.choice(options))
     return Word(letters)
 
@@ -429,7 +338,8 @@ def standard_corpus(seed: int = 20250809, random_count: int = 10) -> list[Word]:
     k <= 4 in both variants, every family word with k <= 4, and a seeded
     batch of random reduced words of length <= 12.
     """
-    out = [Word(), Word((X1,)), Word((X2,)), commutator(Word((X1,)), Word((X2,)))]
+    x1, x2 = Word((1,)), Word((2,))
+    out = [Word(), x1, x2, commutator(x1, x2)]
     for inner in (1, -1):
         for k in range(1, 5):
             out.append(yk(inner, k))
@@ -440,7 +350,7 @@ def standard_corpus(seed: int = 20250809, random_count: int = 10) -> list[Word]:
     rng = random.Random(seed)
     for _ in range(random_count):
         out.append(random_reduced_word(rng))
-    seen: set[tuple[Letter, ...]] = set()
+    seen: set[tuple[int, ...]] = set()
     uniq = []
     for w in out:
         if w.letters not in seen:

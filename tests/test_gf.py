@@ -292,18 +292,6 @@ def test_certificate_coherence_scan_implies_pairs():
         assert {t for t in pairs.image_traces} <= set(scan.image_traces)
 
 
-def test_workers_do_not_change_reports():
-    field = make_field(5, 1)
-    w = family_word(Shape.X2_YK, 1, 1)
-    one = enumerate_image_pairs(w, field, workers=1)
-    three = enumerate_image_pairs(w, field, workers=3)
-    for name in ("image_traces", "misses_involutions", "surjective", "count"):
-        assert getattr(one, name) == getattr(three, name)
-    s_one = trace_scan(w, field, workers=1)
-    s_three = trace_scan(w, field, workers=4)
-    assert s_one.image_traces == s_three.image_traces
-
-
 # -- condition-passing instances reproduce the missing involutions --
 
 def test_every_passing_instance_misses_involutions_n1():
@@ -340,7 +328,7 @@ def test_image_report_schema_and_round_trip():
     d = report.to_dict()
     assert list(d.keys()) == [
         "q", "p", "n", "modulus", "word", "method", "image_trace_count",
-        "misses_involutions", "surjective", "pairs_evaluated", "elapsed_ms",
+        "misses_involutions", "surjective", "pairs_evaluated",
     ]
     assert d["modulus"] == [0, 1]
     assert json.loads(json.dumps(d)) == d

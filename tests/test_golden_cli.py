@@ -1,0 +1,25 @@
+"""Golden CLI output: exit code and sha256 of stdout for a fixed command set.
+
+`golden_cli.json` holds one entry per command: the README's CLI examples,
+a few extra formats and fields, and two error cases.  Digests rather than
+text are stored because the certificate output reaches about 220 KB.  A
+change that alters any byte of stdout, or any exit code, fails here.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from wordmaps.cli import main
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=[" ".join(e["argv"]) for e in GOLDEN])
+def test_cli_output_matches_golden(entry, capsys):
+    code = main(list(entry["argv"]))
+    out = capsys.readouterr().out
+    assert code == entry["exit"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == entry["stdout_sha256"]

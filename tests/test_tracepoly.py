@@ -20,7 +20,7 @@ from wordmaps.tracepoly import (
     verify_factorization,
     verify_swap,
 )
-from wordmaps.words import Shape, Word, X1, X2, parse_word, random_reduced_word, y1, yk
+from wordmaps.words import Shape, Word, parse_word, random_reduced_word, y1, yk
 from util import eval_word_int, mat_mul, mat_trace, random_int_sl2
 
 MINUS = "−"
@@ -62,7 +62,7 @@ def test_tau_empty_word():
 
 
 def test_tau_generators():
-    assert tau(Word((X1,))) == S
+    assert tau(Word((1,))) == S
     assert tau(parse_word("x1 x2")) == U
 
 

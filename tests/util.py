@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from wordmaps.words import ALPHABET, Letter, Word
+from wordmaps.words import ALPHABET, Word
 
 IntMat = tuple[tuple[int, int], tuple[int, int]]
 
@@ -44,26 +44,25 @@ def random_int_sl2(rng: random.Random, steps: int = 6, bound: int = 3) -> IntMat
 
 
 def eval_word_int(w: Word, x: IntMat, y: IntMat) -> IntMat:
-    mats = {(1, 1): x, (1, -1): mat_inv(x), (2, 1): y, (2, -1): mat_inv(y)}
+    mats = {1: x, -1: mat_inv(x), 2: y, -2: mat_inv(y)}
     acc = INT_IDENTITY
     for letter in w:
         acc = mat_mul(acc, mats[letter])
     return acc
 
 
-def reduced_letter_tuples(max_len: int) -> Iterator[tuple[Letter, ...]]:
+def reduced_letter_tuples(max_len: int) -> Iterator[tuple[int, ...]]:
     """Every freely reduced nonempty letter tuple of length <= max_len,
     in depth-first order."""
-    stack: list[Letter] = []
+    stack: list[int] = []
 
-    def rec() -> Iterator[tuple[Letter, ...]]:
+    def rec() -> Iterator[tuple[int, ...]]:
         if stack:
             yield tuple(stack)
         if len(stack) == max_len:
             return
-        last = stack[-1] if stack else None
         for letter in ALPHABET:
-            if last is None or letter != (last.gen, -last.sign):
+            if not stack or letter != -stack[-1]:
                 stack.append(letter)
                 yield from rec()
                 stack.pop()
@@ -77,7 +76,7 @@ def oracle_proper_power(w: Word) -> tuple[bool, Word | None, int | None]:
     power through free multiplication and compare with w itself."""
     core = w
     conj = Word()
-    while core.letters and core.letters[0] == (core.letters[-1].gen, -core.letters[-1].sign):
+    while core.letters and core.letters[0] == -core.letters[-1]:
         g = Word((core.letters[0],))
         conj = conj * g
         core = (~g) * core * g
