@@ -23,7 +23,6 @@ from .gf import (
     ImageReport,
     Mat2,
     enumerate_image_pairs,
-    eval_trace_poly,
     eval_word,
     field_elements,
     make_field,
@@ -33,12 +32,9 @@ from .gf import (
     trace_scan,
 )
 from .tracepoly import (
-    CyclotomicElement,
-    IntPoly,
     SymbolicGroupElement,
     TracePolynomial,
     alternating_dickson_sum,
-    cyclotomic_polynomial,
     cyclotomic_root_check,
     dickson,
     factorization_certificate,

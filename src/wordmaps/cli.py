@@ -37,11 +37,11 @@ EPILOG = (
 _SHAPES = {shape.value: shape for shape in words.Shape}
 
 
-def _budget(args) -> int | None:
-    if getattr(args, "budget", None) is not None:
+def _budget(args) -> int:
+    if args.budget is not None:
         return args.budget
     env = os.environ.get("WORDMAP_BUDGET")
-    return int(env) if env else None
+    return int(env) if env else gf.DEFAULT_BUDGET
 
 
 def _csv_cell(value) -> str:
@@ -135,7 +135,7 @@ def _cyclotomic_certificates(kmin, kmax):
             "k": k_pm,
             "variant": None,
             "verdict": tracepoly.cyclotomic_root_check(k_pm),
-            "lhs": candidate.render("T"),
+            "lhs": tracepoly.render_poly(candidate, names="T"),
             "rhs": f"0 in Z[x]/Phi_d(x) at T = -(x + x^(d-1)), d | {2 * k_pm + 1}, d > 1",
         }
 
@@ -180,13 +180,21 @@ def cmd_conditions(args) -> int:
 
 
 def cmd_image(args) -> int:
+    # The budget is checked from q alone, before q is factored or the
+    # field is built: both take far longer than the check for a large q.
+    budget = _budget(args)
     if args.q is not None:
+        gf.check_budget(args.method, args.q, budget)
         p, n = arith.odd_prime_power(args.q)
     else:
         if args.p is None or args.n is None:
             print("error: provide --q or both --p and --n", file=sys.stderr)
             return 2
         p, n = args.p, args.n
+        if p > 2 and n > 0:  # make_field rejects the rest
+            # p^n > 2^n is over the budget once n passes its bit length:
+            # the exponent is capped there, so an absurd n is never formed
+            gf.check_budget(args.method, p ** min(n, budget.bit_length() + 1), budget)
     field = gf.make_field(p, n)
     family = None
     if args.family is not None:
@@ -196,7 +204,7 @@ def cmd_image(args) -> int:
     else:
         w = words.parse_word(args.word)
     runner = gf.enumerate_image_pairs if args.method == "pairs" else gf.trace_scan
-    report = runner(w, field, budget=_budget(args))
+    report = runner(w, field, budget=budget)
     record = report.to_dict()
     _emit(
         [record],

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .arith import is_prime
-from .tracepoly import TracePolynomial, tau
+from .tracepoly import tau
 from .words import Word
 
 DEFAULT_BUDGET = 10**8
@@ -25,6 +25,29 @@ DEFAULT_BUDGET = 10**8
 
 class BudgetExceededError(RuntimeError):
     """An enumeration would exceed its evaluation budget."""
+
+
+def check_budget(method: str, q: int, budget: int | None = None) -> int:
+    """The number of evaluations an image method makes over F_q: every pair
+    of SL2(F_q)^2, (q(q^2-1))^2, for "pairs", every triple of F_q^3, q^3,
+    for "scan".  Raises BudgetExceededError when it is over the budget
+    (default 10^8).  Needs q alone, so it can run before q is factored or
+    the field is built."""
+    budget = DEFAULT_BUDGET if budget is None else budget
+    total = (q * (q * q - 1)) ** 2 if method == "pairs" else q**3
+    if total > budget:
+        what, hint = (
+            ("pair enumeration", "; use trace_scan instead")
+            if method == "pairs"
+            else ("trace scan", "")
+        )
+        # both counts are at least q: past the budget, q says enough, and
+        # the count may be too long to print
+        need = total if q <= budget else f"more than {budget}"
+        raise BudgetExceededError(
+            f"{what} needs {need} evaluations, over the budget {budget}{hint}"
+        )
+    return total
 
 
 # -- polynomial helpers over F_p (tuples, low-degree-first) --
@@ -255,8 +278,9 @@ class FqElement:
         while e:
             if e & 1:
                 result = result * acc
-            acc = acc * acc
             e >>= 1
+            if e:
+                acc = acc * acc
         return result
 
     def __repr__(self) -> str:
@@ -312,9 +336,6 @@ class Mat2:
 
     def det(self) -> FqElement:
         return self.a * self.d - self.b * self.c
-
-    def entries(self) -> tuple[FqElement, FqElement, FqElement, FqElement]:
-        return (self.a, self.b, self.c, self.d)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -428,14 +449,8 @@ def enumerate_image_pairs(w: Word, field: FieldSpec, budget: int | None = None) 
     PSL2(F_q).  Raises BudgetExceededError when |SL2|^2 exceeds the
     budget (default 10^8); use trace_scan for those fields.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
+    total = check_budget("pairs", field.q, budget)
     group = sl2_group(field)
-    total = len(group) ** 2
-    if total > budget:
-        raise BudgetExceededError(
-            f"pair enumeration needs {total} evaluations, over the budget "
-            f"{budget}; use trace_scan instead"
-        )
     letters = w.letters
     ginv = tuple(g.inv() for g in group)
     identity = Mat2.identity(field)
@@ -470,13 +485,7 @@ def trace_scan(w: Word, field: FieldSpec, budget: int | None = None) -> ImageRep
     which triples are realized.  The scan says nothing about
     surjectivity, so `surjective` is None.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
-    q = field.q
-    total = q**3
-    if total > budget:
-        raise BudgetExceededError(
-            f"trace scan needs {total} evaluations, over the budget {budget}"
-        )
+    total = check_budget("scan", field.q, budget)
     p = field.p
     terms = [
         (a, b, c, field.from_int(coef))
@@ -515,40 +524,3 @@ def trace_scan(w: Word, field: FieldSpec, budget: int | None = None) -> ImageRep
         surjective=None,
         count=total,
     )
-
-
-def eval_trace_poly(
-    tp: TracePolynomial, s: FqElement, t: FqElement, u: FqElement
-) -> FqElement:
-    """Evaluate tp at a single field point: coefficients reduced mod p,
-    then nested sparse Horner in s, t, u."""
-    field = s.field
-    if t.field != field or u.field != field:
-        raise ValueError("s, t, u must live over the same field")
-    p = field.p
-    by_a: dict[int, dict[int, dict[int, int]]] = {}
-    for (a, b, c), coef in tp.terms.items():
-        r = coef % p
-        if r:
-            by_a.setdefault(a, {}).setdefault(b, {})[c] = r
-    zero = field.zero()
-
-    def horner(pairs: list[tuple[int, FqElement]], x: FqElement) -> FqElement:
-        if not pairs:
-            return zero
-        pairs.sort(reverse=True)
-        acc = None
-        prev = 0
-        for e, coef in pairs:
-            acc = coef if acc is None else acc * x ** (prev - e) + coef
-            prev = e
-        return acc * x**prev if prev else acc
-
-    pairs_a = []
-    for a, by_b in by_a.items():
-        pairs_b = []
-        for b, by_c in by_b.items():
-            pairs_c = [(c, field.from_int(v)) for c, v in by_c.items()]
-            pairs_b.append((b, horner(pairs_c, u)))
-        pairs_a.append((a, horner(pairs_b, t)))
-    return horner(pairs_a, s)

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .arith import divisors, kpm
+from .arith import kpm
 from .words import Shape, Word, family_word, y1, yk
 
 Monomial = tuple[int, int, int]
@@ -145,12 +145,43 @@ class TracePolynomial:
         return max((sum(m) for m in self.terms), default=-1)
 
     def evaluate(self, s, t, u):
-        """Evaluate over any commutative ring whose elements support the
-        arithmetic operators with each other and with ints."""
-        total = 0
-        for (a, b, c), coef in sorted(self.terms.items()):
-            total = total + coef * s**a * t**b * u**c
-        return total
+        """Value at (s, t, u) in any commutative ring whose elements mix with
+        ints under +, * and ** (ints, F_q elements, trace polynomials, ...).
+
+        Each distinct coefficient is converted into the ring of s once
+        (s*0 + c), and terms whose coefficient vanishes there are dropped;
+        then nested sparse Horner in s, t, u.
+        The result is always a ring element, also for a constant polynomial.
+        """
+        zero = s * 0
+        ring: dict[int, object] = {}  # coefficient -> its image, None if 0
+        by_a: dict[int, dict[int, list]] = {}
+        for (a, b, c), coef in self.terms.items():
+            if coef not in ring:
+                v = zero + coef
+                ring[coef] = None if v == zero else v
+            v = ring[coef]
+            if v is not None:
+                by_a.setdefault(a, {}).setdefault(b, []).append((c, v))
+
+        def horner(pairs: list, x):
+            if not pairs:
+                return zero
+            pairs.sort(reverse=True)  # exponents are distinct: coefficients never compared
+            acc = None
+            prev = 0
+            for e, coef in pairs:
+                acc = coef if acc is None else acc * x ** (prev - e) + coef
+                prev = e
+            return acc * x**prev if prev else acc
+
+        return horner(
+            [
+                (a, horner([(b, horner(by_c, u)) for b, by_c in by_b.items()], t))
+                for a, by_b in by_a.items()
+            ],
+            s,
+        )
 
     def __str__(self) -> str:
         return render_poly(self)
@@ -167,20 +198,13 @@ U = TracePolynomial({(0, 0, 1): 1})
 _ST_MINUS_U = S * T - U
 
 
-def _monomial_str(m: Monomial) -> str:
-    return "*".join(
-        name if e == 1 else f"{name}^{e}"
-        for name, e in zip("stu", m)
-        if e
-    )
-
-
-def _join_terms(terms: Iterable[tuple[int, str]]) -> str:
-    """Signed sum of (nonzero coefficient, monomial text) pairs, in the
-    given order: " + " / " − " between terms, a leading "−" for a negative
-    first term, and coefficient 1 elided unless the monomial is empty."""
+def render_poly(p: TracePolynomial, names: str = "stu") -> str:
+    """Canonical text: terms in graded-lex descending order, joined with
+    " + " / " − ", coefficient 1 and exponent 1 elided, e.g. "s^2*t − 2*u + 3".
+    names[i] names the i-th variable."""
     pieces = []
-    for c, mono in terms:
+    for m, c in sorted(p.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True):
+        mono = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, m) if e)
         mag = abs(c)
         body = mono if mag == 1 and mono else (f"{mag}*{mono}" if mono else str(mag))
         if not pieces:
@@ -188,13 +212,6 @@ def _join_terms(terms: Iterable[tuple[int, str]]) -> str:
         else:
             pieces.append((" + " if c > 0 else f" {MINUS_SIGN} ") + body)
     return "".join(pieces) or "0"
-
-
-def render_poly(p: TracePolynomial) -> str:
-    """Canonical text: terms in graded-lex descending order, joined with
-    " + " / " − ", coefficient 1 and exponent 1 elided, e.g. "s^2*t − 2*u + 3"."""
-    ordered = sorted(p.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
-    return _join_terms((c, _monomial_str(m)) for m, c in ordered)
 
 
 @dataclass(frozen=True)
@@ -282,282 +299,59 @@ def tau(w: Word) -> TracePolynomial:
     return elt.trace()
 
 
-class IntPoly:
-    """Dense univariate polynomial over Z, low-degree-first coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def constant(cls, c: int) -> "IntPoly":
-        return cls((c,))
-
-    @classmethod
-    def x_power(cls, k: int) -> "IntPoly":
-        return cls((0,) * k + (1,))
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def leading(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @staticmethod
-    def _coerce(value) -> "IntPoly":
-        if isinstance(value, IntPoly):
-            return value
-        if isinstance(value, int):
-            return IntPoly((value,))
-        return NotImplemented
-
-    def __eq__(self, other: object) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other) -> "IntPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> "IntPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "IntPoly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "IntPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPoly(out)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
-        """Long division over Z; every intermediate leading coefficient must
-        divide exactly (always true for monic divisors)."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        q = [0] * max(len(rem) - len(div) + 1, 0)
-        while len(rem) >= len(div) and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) < len(div):
-                break
-            factor, r = divmod(rem[-1], div[-1])
-            if r:
-                raise ValueError(f"{rem[-1]} is not divisible by {div[-1]}")
-            shift = len(rem) - len(div)
-            q[shift] = factor
-            for i, c in enumerate(div):
-                rem[shift + i] -= factor * c
-        return IntPoly(q), IntPoly(rem)
-
-    def exact_div(self, other: "IntPoly") -> "IntPoly":
-        quo, rem = divmod(self, other)
-        if not rem.is_zero():
-            raise ValueError(f"inexact division: remainder {rem}")
-        return quo
-
-    def horner(self, x):
-        """Evaluate at x in any ring that mixes with ints under + and *."""
-        if not self.coeffs:
-            return 0
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-
-    def render(self, var: str = "T") -> str:
-        return _join_terms(
-            (c, "" if e == 0 else (var if e == 1 else f"{var}^{e}"))
-            for e, c in reversed(list(enumerate(self.coeffs)))
-            if c
-        )
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"IntPoly<{self.render('x')}>"
-
-
 @functools.lru_cache(maxsize=None)
-def dickson(i: int) -> IntPoly:
-    """Trace-of-power polynomials: D_0 = 2, D_1 = T, D_(i+1) = T*D_i - D_(i-1),
-    so that tr(g^i) = D_i(tr g) for any determinant-1 matrix g."""
+def dickson(i: int) -> TracePolynomial:
+    """Trace-of-power polynomials in s: D_0 = 2, D_1 = s,
+    D_(i+1) = s*D_i - D_(i-1), so that tr(g^i) = D_i(tr g) for any
+    determinant-1 matrix g; in particular dickson(i) == tau(x1^i).
+    Equivalently D_i(x + x^-1) = x^i + x^-i, that is
+    x^i D_i(x + x^-1) = x^(2i) + 1 in Z[x]."""
     if i < 0:
         raise ValueError(f"index must be >= 0, got {i}")
     if i == 0:
-        return IntPoly((2,))
+        return TracePolynomial.constant(2)
     if i == 1:
-        return IntPoly((0, 1))
-    return IntPoly((0, 1)) * dickson(i - 1) - dickson(i - 2)
+        return S
+    return S * dickson(i - 1) - dickson(i - 2)
 
 
-@functools.lru_cache(maxsize=None)
-def cyclotomic_polynomial(m: int) -> IntPoly:
-    """Phi_m, by exact division of x^m - 1 by the product of the Phi_d over
-    the proper divisors d of m."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    poly = IntPoly.x_power(m) - 1
-    for d in divisors(m)[:-1]:
-        poly = poly.exact_div(cyclotomic_polynomial(d))
-    return poly
-
-
-class CyclotomicElement:
-    """Residue in Z[x]/Phi_m(x), stored as exactly phi(m) coefficients."""
-
-    __slots__ = ("m", "coeffs")
-
-    def __init__(self, m: int, coeffs: Iterable[int]):
-        phi = cyclotomic_polynomial(m).degree()
-        cs = tuple(int(c) for c in coeffs)
-        if len(cs) != phi:
-            raise ValueError(f"need {phi} coefficients for modulus {m}, got {len(cs)}")
-        self.m = m
-        self.coeffs = cs
-
-    @classmethod
-    def from_poly(cls, m: int, poly: IntPoly) -> "CyclotomicElement":
-        _, rem = divmod(poly, cyclotomic_polynomial(m))
-        phi = cyclotomic_polynomial(m).degree()
-        cs = rem.coeffs + (0,) * (phi - len(rem.coeffs))
-        return cls(m, cs)
-
-    @classmethod
-    def zeta_power(cls, m: int, j: int) -> "CyclotomicElement":
-        return cls.from_poly(m, IntPoly.x_power(j % m))
-
-    def _poly(self) -> IntPoly:
-        return IntPoly(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    @staticmethod
-    def _coerce(value, m: int):
-        if isinstance(value, CyclotomicElement):
-            return value if value.m == m else NotImplemented
-        if isinstance(value, int):
-            return CyclotomicElement.from_poly(m, IntPoly((value,)))
-        return NotImplemented
-
-    def __eq__(self, other: object) -> bool:
-        other = self._coerce(other, self.m)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.coeffs))
-
-    def __add__(self, other) -> "CyclotomicElement":
-        other = self._coerce(other, self.m)
-        if other is NotImplemented:
-            return NotImplemented
-        return CyclotomicElement(
-            self.m, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "CyclotomicElement":
-        return CyclotomicElement(self.m, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> "CyclotomicElement":
-        other = self._coerce(other, self.m)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "CyclotomicElement":
-        other = self._coerce(other, self.m)
-        if other is NotImplemented:
-            return NotImplemented
-        return CyclotomicElement.from_poly(self.m, self._poly() * other._poly())
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        return f"CyclotomicElement(m={self.m}, {self._poly().render('x')})"
-
-
-def alternating_dickson_sum(n: int) -> IntPoly:
-    """The degree-n bracket sum_(i=1..n) (-1)^(n-i) D_i + (-1)^n that the
-    outer-power trace factorization multiplies by (s^2 - 2)."""
+def alternating_dickson_sum(n: int) -> TracePolynomial:
+    """The degree-n bracket A_n = sum_(i=1..n) (-1)^(n-i) D_i + (-1)^n, in s,
+    that the outer-power trace factorization multiplies by (s^2 - 2)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    acc = IntPoly.constant((-1) ** n)
+    acc = TracePolynomial.constant((-1) ** n)
     for i in range(1, n + 1):
         acc = acc + (-1) ** (n - i) * dickson(i)
     return acc
 
 
 def cyclotomic_root_check(k_pm: int) -> bool:
-    """Certify alternating_dickson_sum(k_pm) equals the monic product
-    prod_(i=1..k_pm) (T + zeta^i + zeta^(-i)) over the (2*k_pm+1)-th roots
-    of unity, entirely in exact integer arithmetic.
+    """Certify A = alternating_dickson_sum(k_pm) equals the monic product
+    prod_(i=1..k_pm) (T + zeta^i + zeta^(-i)), zeta a primitive m-th root
+    of unity, m = 2*k_pm + 1, by an exact identity in Z[x].
 
-    The product is squarefree of degree k_pm, and its roots fall into one
-    conjugacy class per divisor d > 1 of 2*k_pm+1; so matching degree and
-    leading coefficient plus vanishing at -(x + x^(d-1)) in Z[x]/Phi_d(x)
-    for every such d pins the polynomial down.
+    Put T = x + x^-1.  Each factor is x^-1 (x + zeta^i)(x + zeta^-i), so
+    x^k_pm times the product is prod_(j=1..m-1) (x + zeta^j)
+    = (x^m + 1)/(x + 1) = sum_(j=0..m-1) (-x)^j.  The map
+    P -> x^k_pm P(x + x^-1) is injective on polynomials of degree <= k_pm,
+    so A equals the product iff A has degree <= k_pm and
+    sum_j c_j (x^2 + 1)^j x^(k_pm-j) == sum_(j=0..m-1) (-x)^j, where c_j
+    are A's coefficients.  Both sides are built in s, which plays x; the
+    left side by homogeneous Horner.  In particular A vanishes at
+    T = -(x + x^(d-1)) in Z[x]/Phi_d(x) for every divisor d > 1 of m.
     """
     if k_pm < 1:
         raise ValueError(f"k_pm must be >= 1, got {k_pm}")
     candidate = alternating_dickson_sum(k_pm)
-    if candidate.degree() != k_pm or candidate.leading() != 1:
+    if any(b or c or a > k_pm for a, b, c in candidate.terms):
         return False
+    x_sq_plus_1 = S * S + 1
+    lhs = ZERO
+    for j in range(k_pm, -1, -1):
+        lhs = lhs * x_sq_plus_1 + candidate.terms.get((j, 0, 0), 0) * S ** (k_pm - j)
     m = 2 * k_pm + 1
-    for d in divisors(m):
-        if d == 1:
-            continue
-        root = -(CyclotomicElement.zeta_power(d, 1) + CyclotomicElement.zeta_power(d, d - 1))
-        value = candidate.horner(root)
-        if not value.is_zero():
-            return False
-    return True
+    return lhs == TracePolynomial({(j, 0, 0): (-1) ** j for j in range(m)})
 
 
 _X1SQ = Word((1, 1))
@@ -585,7 +379,7 @@ def factorization_sum_form(k: int, which: Shape, inner_sign: int = 1) -> TracePo
     the bracket is the empty sum plus (-1)^0 = 1."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    bracket = alternating_dickson_sum(kpm(k, which)).horner(tau(y1(inner_sign)))
+    bracket = alternating_dickson_sum(kpm(k, which)).evaluate(tau(y1(inner_sign)), T, U)
     return (S * S - 2) * bracket
 
 

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 from wordmaps.arith import check_nonsurjectivity_conditions, scan_primes, length_residues
-from wordmaps.gf import enumerate_image_pairs, eval_trace_poly, eval_word, make_field, sl2_group, trace_scan
+from wordmaps.gf import enumerate_image_pairs, eval_word, make_field, sl2_group, trace_scan
 from wordmaps.tracepoly import cyclotomic_root_check, tau, verify_factorization, verify_swap
 from wordmaps.words import Shape, Word, family_word, parse_word, standard_corpus
 from util import oracle_proper_power, reduced_letter_tuples
@@ -61,7 +61,7 @@ def test_criterion_3_tau_soundness_oracle():
             s, t, u = x.trace(), y.trace(), (x * y).trace()
             for w, poly in polys:
                 checked += 1
-                if eval_word(w, x, y).trace() != eval_trace_poly(poly, s, t, u):
+                if eval_word(w, x, y).trace() != poly.evaluate(s, t, u):
                     failures += 1
     assert failures == 0
     _report(3, f"{checked} trace evaluations over F_5, F_7, F_9, F_13: 0 failures")

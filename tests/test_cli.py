@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -172,6 +173,20 @@ def test_image_budget_exceeded_suggests_scan(capsys):
     )
     assert code == 2
     assert "trace_scan" in err
+
+
+@pytest.mark.parametrize("method", ["scan", "pairs"])
+@pytest.mark.parametrize(
+    "field", [("--q", "2305843009213693951"), ("--p", "3", "--n", "20000")], ids=["q", "p-n"]
+)
+def test_image_budget_checked_before_field_is_built(capsys, field, method):
+    # factoring this q by trial division, or building F_(3^20000), takes
+    # far longer than a second; the budget check needs q alone
+    start = time.perf_counter()
+    code, _, err = run(capsys, "image", *field, "--word", "x1", "--method", method)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "budget" in err
 
 
 def test_image_budget_env_override(capsys, monkeypatch):

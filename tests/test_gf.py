@@ -9,7 +9,6 @@ from wordmaps.gf import (
     FieldSpec,
     Mat2,
     enumerate_image_pairs,
-    eval_trace_poly,
     eval_word,
     field_elements,
     make_field,
@@ -196,9 +195,12 @@ def test_psl2_well_definedness_even_exponent_sums(rng):
 def test_eval_trace_poly_examples():
     f7 = make_field(7, 1)
     poly = TracePolynomial({(2, 0, 0): 1, (0, 0, 0): -2})  # s^2 - 2
-    assert eval_trace_poly(poly, f7.from_int(3), f7.zero(), f7.zero()) == f7.zero()
+    assert poly.evaluate(f7.from_int(3), f7.zero(), f7.zero()) == f7.zero()
     const = TracePolynomial.constant(2)
-    assert eval_trace_poly(const, f7.from_int(5), f7.from_int(1), f7.from_int(0)) == f7.from_int(2)
+    assert const.evaluate(f7.from_int(5), f7.from_int(1), f7.from_int(0)) == f7.from_int(2)
+    assert TracePolynomial().evaluate(f7.from_int(5), f7.zero(), f7.zero()) == f7.zero()
+    # 7*s vanishes in F_7
+    assert TracePolynomial({(1, 0, 0): 7}).evaluate(f7.from_int(3), f7.zero(), f7.zero()) == f7.zero()
 
 
 def test_eval_trace_poly_commutator_cross_check(rng):
@@ -208,7 +210,7 @@ def test_eval_trace_poly_commutator_cross_check(rng):
     poly = tau(w)
     for _ in range(20):
         x, y = rng.choice(group), rng.choice(group)
-        got = eval_trace_poly(poly, x.trace(), y.trace(), (x * y).trace())
+        got = poly.evaluate(x.trace(), y.trace(), (x * y).trace())
         assert got == eval_word(w, x, y).trace()
 
 
@@ -220,7 +222,7 @@ def test_trace_consistency_on_corpus(p, n, corpus, rng):
         x, y = rng.choice(group), rng.choice(group)
         s, t, u = x.trace(), y.trace(), (x * y).trace()
         for w in corpus:
-            assert eval_word(w, x, y).trace() == eval_trace_poly(tau(w), s, t, u), str(w)
+            assert eval_word(w, x, y).trace() == tau(w).evaluate(s, t, u), str(w)
 
 
 # -- image enumeration --

@@ -2,16 +2,16 @@ import random
 
 import pytest
 
+import math
+
+from wordmaps import tracepoly
 from wordmaps.tracepoly import (
-    CyclotomicElement,
-    IntPoly,
     S,
     SymbolicGroupElement,
     T,
     TracePolynomial,
     U,
     alternating_dickson_sum,
-    cyclotomic_polynomial,
     cyclotomic_root_check,
     dickson,
     factorization_sum_form,
@@ -95,7 +95,7 @@ def test_tau_matches_integer_matrices_on_corpus(corpus, rng):
 def test_tau_soundness_over_finite_fields(corpus):
     # keystone cross-check: 200 random determinant-1 pairs per field,
     # q in {5, 7, 13, 27}, against every corpus word
-    from wordmaps.gf import eval_trace_poly, eval_word, make_field, sl2_group
+    from wordmaps.gf import eval_word, make_field, sl2_group
 
     rng = random.Random(31337)
     for p, n in ((5, 1), (7, 1), (13, 1), (3, 3)):
@@ -106,7 +106,7 @@ def test_tau_soundness_over_finite_fields(corpus):
             x, y = rng.choice(group), rng.choice(group)
             s, t, u = x.trace(), y.trace(), (x * y).trace()
             for w, poly in polys:
-                assert eval_word(w, x, y).trace() == eval_trace_poly(poly, s, t, u), (
+                assert eval_word(w, x, y).trace() == poly.evaluate(s, t, u), (
                     (p, n), str(w),
                 )
 
@@ -133,25 +133,30 @@ def test_tau_trace_identity(corpus, rng):
 # -- dickson recurrence --
 
 def test_dickson_base_cases():
-    assert dickson(0) == IntPoly((2,))
-    assert dickson(1) == IntPoly((0, 1))
+    assert dickson(0) == 2
+    assert dickson(1) == S
 
 
 def test_dickson_one_step():
-    assert dickson(2) == IntPoly((-2, 0, 1))  # T^2 - 2
+    assert dickson(2) == S * S - 2
 
 
 def test_dickson_three():
-    assert dickson(3) == IntPoly((0, -3, 0, 1))  # T^3 - 3T
+    assert dickson(3) == S**3 - 3 * S
     for inner in (1, -1):
-        assert dickson(3).horner(tau(y1(inner))) == tau(yk(inner, 3))
+        assert dickson(3).evaluate(tau(y1(inner)), T, U) == tau(yk(inner, 3))
+
+
+def test_dickson_is_tau_of_x1_power():
+    for i in range(17):
+        assert dickson(i) == tau(Word((1,) * i)), i
 
 
 def test_dickson_substitution_consistency():
     for inner in (1, -1):
         base = tau(y1(inner))
         for i in range(7):
-            assert dickson(i).horner(base) == tau(yk(inner, i))
+            assert dickson(i).evaluate(base, T, U) == tau(yk(inner, i))
 
 
 def test_dickson_rejects_negative():
@@ -216,68 +221,78 @@ def test_perturbed_sum_is_detected():
     assert tau(w) != perturbed
 
 
-# -- cyclotomic polynomials and the root check --
-
-def test_cyclotomic_small():
-    assert cyclotomic_polynomial(1) == IntPoly((-1, 1))
-    assert cyclotomic_polynomial(2) == IntPoly((1, 1))
-    assert cyclotomic_polynomial(5) == IntPoly((1, 1, 1, 1, 1))
-
-
-def test_cyclotomic_nine():
-    # divide x^9 - 1 by (x - 1)(x^2 + x + 1) by hand: x^6 + x^3 + 1
-    assert cyclotomic_polynomial(9) == IntPoly((1, 0, 0, 1, 0, 0, 1))
-
-
-def test_cyclotomic_product_reconstructs_xm_minus_1():
-    for m in range(1, 31):
-        prod = IntPoly((1,))
-        for d in range(1, m + 1):
-            if m % d == 0:
-                prod = prod * cyclotomic_polynomial(d)
-        assert prod == IntPoly.x_power(m) - 1, m
-
-
-def test_cyclotomic_element_arithmetic():
-    # zeta_3 + zeta_3^-1 = -1
-    z = CyclotomicElement.zeta_power(3, 1) + CyclotomicElement.zeta_power(3, 2)
-    assert z == CyclotomicElement.from_poly(3, IntPoly((-1,)))
-    # (zeta_5 + zeta_5^4)*(zeta_5^2 + zeta_5^3) = sum of all primitive 5th roots = -1
-    a = CyclotomicElement.zeta_power(5, 1) + CyclotomicElement.zeta_power(5, 4)
-    b = CyclotomicElement.zeta_power(5, 2) + CyclotomicElement.zeta_power(5, 3)
-    assert a * b == CyclotomicElement.from_poly(5, IntPoly((-1,)))
-
+# -- the cyclotomic root check --
 
 def test_alternating_sum_k1():
-    assert alternating_dickson_sum(1) == IntPoly((-1, 1))  # T - 1
+    assert alternating_dickson_sum(1) == S - 1
 
 
 def test_alternating_sum_k2():
-    assert alternating_dickson_sum(2) == IntPoly((-1, -1, 1))  # T^2 - T - 1
+    assert alternating_dickson_sum(2) == S * S - S - 1
 
 
 def test_root_check_k1():
     # -(zeta_3 + zeta_3^-1) = 1 is a root of T - 1
-    assert alternating_dickson_sum(1).horner(1) == 0
+    assert alternating_dickson_sum(1).evaluate(1, 0, 0) == 0
     assert cyclotomic_root_check(1)
 
 
 def test_root_check_k2_exact_arithmetic():
-    root = -(CyclotomicElement.zeta_power(5, 1) + CyclotomicElement.zeta_power(5, 4))
-    value = alternating_dickson_sum(2).horner(root)
-    assert value.is_zero()
+    # x^2 A_2(x + 1/x) = (x^2 + 1)^2 - (x^2 + 1) x - x^2 = x^4 - x^3 + x^2 - x + 1
+    x = S
+    lhs = sum(c * (x * x + 1) ** j * x ** (2 - j) for (j, _, _), c in alternating_dickson_sum(2).terms.items())
+    assert lhs == x**4 - x**3 + x**2 - x + 1
     assert cyclotomic_root_check(2)
 
 
 def test_root_check_range():
-    for k_pm in range(1, 9):
+    for k_pm in range(1, 31):
         assert cyclotomic_root_check(k_pm), k_pm
 
 
-def test_root_check_detects_wrong_polynomial():
+def test_root_check_float_oracle():
+    # independent of the Z[x] identity: A_k vanishes at -2cos(2 pi j/(2k+1))
+    for k in range(1, 13):
+        poly = alternating_dickson_sum(k)
+        for j in range(1, k + 1):
+            root = -2 * math.cos(2 * math.pi * j / (2 * k + 1))
+            assert abs(poly.evaluate(root, 0.0, 0.0)) < 1e-6, (k, j)
+
+
+@pytest.mark.parametrize(
+    "perturb",
+    [
+        lambda a, k: a + 1,
+        lambda a, k: a + S**k,
+        lambda a, k: a + S ** (k + 1),
+        lambda a, k: a - S ** (k - 1),
+    ],
+    ids=["A+1", "A+S^k", "A+S^(k+1)", "A-S^(k-1)"],
+)
+def test_root_check_rejects_perturbed_sum(monkeypatch, perturb):
+    original = tracepoly.alternating_dickson_sum
+    monkeypatch.setattr(
+        tracepoly, "alternating_dickson_sum", lambda n: perturb(original(n), n)
+    )
+    for k in range(1, 6):
+        assert not cyclotomic_root_check(k), k
+
+
+def test_root_check_detects_wrong_polynomial(monkeypatch):
     # T + 1 is monic of degree 1 but does not vanish at -(zeta_3+zeta_3^-1) = 1
-    root = -(CyclotomicElement.zeta_power(3, 1) + CyclotomicElement.zeta_power(3, 2))
-    assert not IntPoly((1, 1)).horner(root).is_zero()
+    monkeypatch.setattr(tracepoly, "alternating_dickson_sum", lambda n: S + 1)
+    assert not cyclotomic_root_check(1)
+
+
+@pytest.mark.parametrize("extra", [T, U, S * T], ids=["t", "u", "s*t"])
+def test_root_check_rejects_terms_in_t_or_u(monkeypatch, extra):
+    # the identity only reads the s-terms, so any other term must fail
+    original = tracepoly.alternating_dickson_sum
+    monkeypatch.setattr(
+        tracepoly, "alternating_dickson_sum", lambda n: original(n) + extra
+    )
+    for k in range(1, 4):
+        assert not cyclotomic_root_check(k), k
 
 
 # -- rendering --
