@@ -32,7 +32,6 @@ from .gf import (
     trace_scan,
 )
 from .tracepoly import (
-    SymbolicGroupElement,
     TracePolynomial,
     alternating_dickson_sum,
     cyclotomic_root_check,

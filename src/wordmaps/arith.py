@@ -122,9 +122,9 @@ class CongruenceError(ValueError):
 def inertia_degree(p: int, m: int, i: int) -> int:
     """Inertia degree of p in Q(zeta_m^i + zeta_m^(-i)).
 
-    With d = m / gcd(m, i) the field is the maximal real subfield of the
-    d-th cyclotomic field and the degree is the least f >= 1 with
-    p^f ≡ ±1 (mod d); the degenerate rational case d <= 3 always gives 1.
+    With d = m / gcd(m, i) >= 3 the field is the maximal real subfield of
+    the d-th cyclotomic field and the degree is the least f >= 1 with
+    p^f ≡ ±1 (mod d); for d = 3 the field is Q and this gives 1.
     Raises RamifiedPrimeError when gcd(p, d) > 1.
     """
     if m < 3 or m % 2 == 0:
@@ -134,8 +134,6 @@ def inertia_degree(p: int, m: int, i: int) -> int:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     d = m // math.gcd(m, i)
-    if d <= 2:
-        return 1
     if math.gcd(p, d) != 1:
         raise RamifiedPrimeError(f"p={p} ramifies in the degree-{d} cyclotomic field")
     acc = p % d
@@ -260,12 +258,20 @@ class DensityReport:
 
 
 def scan_primes(k_pm: int, p_max: int) -> tuple[list[int], DensityReport]:
-    """Primes p <= p_max with p ≡ 3, 5 (mod 8), p coprime to 2*k_pm+1, and
-    p^2 not ≡ 1 modulo any divisor of 2*k_pm+1 larger than 1.
+    """Odd primes p <= p_max for which check_nonsurjectivity_conditions(p, 1,
+    k_pm, Shape.X2_YK) holds; a prime dividing 2*k_pm+1 (RamifiedPrimeError)
+    is not kept.
 
-    Each kept prime is cross-validated by recomputing every inertia degree
-    and requiring it to be at least 2.  The report carries the empirical
-    density among all primes <= p_max next to the printed density
+    The verdict is computed once per residue class of p mod 8*(2*k_pm+1):
+    it depends on p only through p mod 8 (2 is a non-square mod p) and
+    p mod 2*k_pm+1 (the inertia degrees), and a class that holds a prime
+    dividing 2*k_pm+1 holds no other prime.  The per-prime cross-check
+    lives in tests/test_arith.py: test_scan_primes_matches_per_prime_conditions
+    compares the result with a fresh evaluation at every prime and with the
+    sieve criterion "p ≡ 3, 5 (mod 8) and p^2 not ≡ 1 modulo any divisor
+    d > 1 of 2*k_pm+1", and test_sieve_criterion_equivalent_to_min_inertia
+    checks that criterion against the inertia degrees.  The report carries the
+    empirical density among all primes <= p_max next to the printed density
     (1/2)*prod(1 - 3/l) and the Dirichlet density (1/2)*prod((l-3)/(l-1))
     over the prime divisors l of 2*k_pm+1.
     """
@@ -278,27 +284,21 @@ def scan_primes(k_pm: int, p_max: int) -> tuple[list[int], DensityReport]:
             f"is always 1, so no prime qualifies"
         )
     m = 2 * k_pm + 1
-    divs = [d for d in divisors(m) if d > 1]
-    prime_divs = [d for d in divs if is_prime(d)]
     primes = primes_up_to(p_max)
+    verdicts: dict[int, bool] = {}
     kept = []
-    for p in primes:
-        if p % 8 not in (3, 5):
-            continue
-        if m % p == 0:
-            continue
-        if any(p * p % d == 1 for d in divs):
-            continue
-        kept.append(p)
-    for p in kept:
-        for i in range(1, k_pm + 1):
-            if inertia_degree(p, m, i) < 2:
-                raise RuntimeError(
-                    f"sieve criterion disagreed with inertia degree at p={p}, i={i}"
-                )
+    for p in primes[1:]:  # primes[0] == 2
+        r = p % (8 * m)
+        if r not in verdicts:
+            try:
+                verdicts[r] = check_nonsurjectivity_conditions(p, 1, k_pm, Shape.X2_YK).verdict
+            except RamifiedPrimeError:
+                verdicts[r] = False
+        if verdicts[r]:
+            kept.append(p)
     printed = Fraction(1, 2)
     dirichlet = Fraction(1, 2)
-    for ell in prime_divs:
+    for ell in filter(is_prime, divisors(m)):
         printed *= 1 - Fraction(3, ell)
         dirichlet *= Fraction(ell - 3, ell - 1)
     total = len(primes)

@@ -23,7 +23,7 @@ from .words import Word
 DEFAULT_BUDGET = 10**8
 
 
-class BudgetExceededError(RuntimeError):
+class BudgetExceededError(Exception):
     """An enumeration would exceed its evaluation budget."""
 
 
@@ -177,11 +177,12 @@ def make_field(p: int, n: int) -> FieldSpec:
         raise ValueError(f"p must be an odd prime, got {p}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    for tail in itertools.product(range(p), repeat=n):
-        cand = tail + (1,)
-        if _is_irreducible(cand, p):
-            return FieldSpec(p, n, cand)
-    raise RuntimeError(f"no irreducible modulus found for p={p}, n={n}")
+    # F_p has a monic irreducible polynomial of every degree n >= 1.
+    return next(
+        FieldSpec(p, n, tail + (1,))
+        for tail in itertools.product(range(p), repeat=n)
+        if _is_irreducible(tail + (1,), p)
+    )
 
 
 class FqElement:

@@ -20,7 +20,6 @@ tr(XY) = u.  All coefficients are exact arbitrary-precision integers.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Mapping
 
 from .arith import kpm
@@ -140,10 +139,6 @@ class TracePolynomial:
             n >>= 1
         return result
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(m) for m in self.terms), default=-1)
-
     def evaluate(self, s, t, u):
         """Value at (s, t, u) in any commutative ring whose elements mix with
         ints under +, * and ** (ints, F_q elements, trace polynomials, ...).
@@ -214,89 +209,27 @@ def render_poly(p: TracePolynomial, names: str = "stu") -> str:
     return "".join(pieces) or "0"
 
 
-@dataclass(frozen=True)
-class SymbolicGroupElement:
-    """Element c1*1 + cx*X + cy*Y + cxy*XY of the rank-4 expansion module
-    generated by two generic determinant-1 matrices X and Y."""
-
-    c1: TracePolynomial
-    cx: TracePolynomial
-    cy: TracePolynomial
-    cxy: TracePolynomial
-
-    @classmethod
-    def identity(cls) -> "SymbolicGroupElement":
-        return cls(ONE, ZERO, ZERO, ZERO)
-
-    def scale(self, poly) -> "SymbolicGroupElement":
-        return SymbolicGroupElement(
-            poly * self.c1, poly * self.cx, poly * self.cy, poly * self.cxy
-        )
-
-    def __add__(self, other: "SymbolicGroupElement") -> "SymbolicGroupElement":
-        return SymbolicGroupElement(
-            self.c1 + other.c1,
-            self.cx + other.cx,
-            self.cy + other.cy,
-            self.cxy + other.cxy,
-        )
-
-    def __sub__(self, other: "SymbolicGroupElement") -> "SymbolicGroupElement":
-        return SymbolicGroupElement(
-            self.c1 - other.c1,
-            self.cx - other.cx,
-            self.cy - other.cy,
-            self.cxy - other.cxy,
-        )
-
-    def _times_x(self) -> "SymbolicGroupElement":
-        return SymbolicGroupElement(
-            -self.cx - _ST_MINUS_U * self.cy - T * self.cxy,
-            self.c1 + S * self.cx + T * self.cy + U * self.cxy,
-            S * self.cy + self.cxy,
-            -self.cy,
-        )
-
-    def _times_y(self) -> "SymbolicGroupElement":
-        return SymbolicGroupElement(
-            -self.cy,
-            -self.cxy,
-            self.c1 + T * self.cy,
-            self.cx + T * self.cxy,
-        )
-
-    def times_letter(self, letter: int) -> "SymbolicGroupElement":
-        if letter == 1:
-            return self._times_x()
-        if letter == -1:
-            return self.scale(S) - self._times_x()
-        if letter == 2:
-            return self._times_y()
-        return self.scale(T) - self._times_y()
-
-    def __mul__(self, other: "SymbolicGroupElement") -> "SymbolicGroupElement":
-        ax = self._times_x()
-        ay = self._times_y()
-        axy = ax._times_y()
-        return (
-            self.scale(other.c1)
-            + ax.scale(other.cx)
-            + ay.scale(other.cy)
-            + axy.scale(other.cxy)
-        )
-
-    def trace(self) -> TracePolynomial:
-        return 2 * self.c1 + S * self.cx + T * self.cy + U * self.cxy
-
-
 @functools.lru_cache(maxsize=4096)
 def tau(w: Word) -> TracePolynomial:
     """Trace polynomial of w: for every field and every determinant-1 pair
-    (x, y), tr(w(x, y)) = tau(w)(tr x, tr y, tr xy)."""
-    elt = SymbolicGroupElement.identity()
+    (x, y), tr(w(x, y)) = tau(w)(tr x, tr y, tr xy).
+
+    Walks e = c1*1 + cx*X + cy*Y + cxy*XY letter by letter, e -> e*X or
+    e*Y by the rules above, with e*X^-1 = s*e - e*X and e*Y^-1 = t*e - e*Y."""
+    c1, cx, cy, cxy = ONE, ZERO, ZERO, ZERO
     for letter in w:
-        elt = elt.times_letter(letter)
-    return elt.trace()
+        if letter in (1, -1):
+            n1 = -cx - _ST_MINUS_U * cy - T * cxy
+            nx = c1 + S * cx + T * cy + U * cxy
+            ny, nxy = S * cy + cxy, -cy
+        else:
+            n1, nx, ny, nxy = -cy, -cxy, c1 + T * cy, cx + T * cxy
+        if letter > 0:
+            c1, cx, cy, cxy = n1, nx, ny, nxy
+        else:
+            g = S if letter == -1 else T
+            c1, cx, cy, cxy = g * c1 - n1, g * cx - nx, g * cy - ny, g * cxy - nxy
+    return 2 * c1 + S * cx + T * cy + U * cxy
 
 
 @functools.lru_cache(maxsize=None)

@@ -233,6 +233,30 @@ def test_scanned_primes_pass_conditions_at_n_1():
         assert check_nonsurjectivity_conditions(p, 1, 3, Shape.XNEG2_YK).verdict
 
 
+def test_scan_primes_matches_per_prime_conditions():
+    # scan_primes computes one verdict per residue class mod 8*(2*k_pm+1);
+    # here every prime is evaluated afresh, and against the former selection
+    # rule (p ≡ 3, 5 mod 8, coprime to m, p^2 != 1 mod every divisor > 1).
+    # m = 5, 13 and 25 bring ramified primes, m = 35 a composite modulus.
+    primes = primes_up_to(20000)
+    for k_pm in (2, 3, 5, 6, 12, 17):
+        m = 2 * k_pm + 1
+        kept = scan_primes(k_pm, 20000)[0]
+        expected = [
+            p
+            for p in primes[1:]
+            if m % p and check_nonsurjectivity_conditions(p, 1, k_pm, Shape.X2_YK).verdict
+        ]
+        assert kept == expected, k_pm
+        divs = [d for d in divisors(m) if d > 1]
+        sieve = [
+            p
+            for p in primes
+            if p % 8 in (3, 5) and m % p and all(p * p % d != 1 for d in divs)
+        ]
+        assert kept == sieve, k_pm
+
+
 def test_sieve_criterion_equivalent_to_min_inertia():
     # p^2 != 1 mod every divisor > 1 of m  <=>  all inertia degrees >= 2
     for k_pm in (2, 3, 5, 6):

@@ -1,9 +1,15 @@
 """Golden CLI output: exit code and sha256 of stdout for a fixed command set.
 
 `golden_cli.json` holds one entry per command: the README's CLI examples,
-a few extra formats and fields, and two error cases.  Digests rather than
+a few extra formats and fields, prime scans with ramified primes and a
+composite modulus, and three error cases.  Digests rather than
 text are stored because the certificate output reaches about 220 KB.  A
 change that alters any byte of stdout, or any exit code, fails here.
+
+A new entry is produced from the sources before the change it guards: in a
+`git worktree` (or `git archive`) of the parent commit, run `cli.main(argv)`
+with stdout captured, and record its return value and the sha256 of the
+captured text.  Existing entries are never regenerated.
 """
 
 import hashlib

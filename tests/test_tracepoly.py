@@ -7,7 +7,6 @@ import math
 from wordmaps import tracepoly
 from wordmaps.tracepoly import (
     S,
-    SymbolicGroupElement,
     T,
     TracePolynomial,
     U,
@@ -41,18 +40,6 @@ def test_yx_rewriting_rule_numeric(rng):
             for j in range(2):
                 ident = 1 if i == j else 0
                 assert yx[i][j] == t * x[i][j] + s * y[i][j] - (s * t - u) * ident - xy[i][j]
-
-
-def test_symbolic_identity_and_associativity(rng):
-    e = SymbolicGroupElement.identity()
-    gx = e._times_x()
-    gy = e._times_y()
-    assert e * gx == gx and gx * e == gx
-    elems = [gx, gy, gx * gy, gy * gx, gx * gx * gy]
-    for a in elems:
-        for b in elems:
-            for c in elems[:3]:
-                assert (a * b) * c == a * (b * c)
 
 
 # -- tau basics --
