@@ -12,21 +12,16 @@ from .arith import (
     is_square_mod,
     kpm,
     length_residues,
-    multiplicative_order,
     necessary_congruence,
     scan_primes,
 )
 from .gf import (
     BudgetExceededError,
     FieldSpec,
-    FqElement,
     ImageReport,
-    Mat2,
     enumerate_image_pairs,
-    eval_word,
-    field_elements,
+    field_tables,
     make_field,
-    psl2_canonical,
     psl2_order,
     sl2_group,
     trace_scan,

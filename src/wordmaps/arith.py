@@ -96,19 +96,6 @@ def is_square_mod(a: int, p: int) -> bool:
     return a == 0 or pow(a, (p - 1) // 2, p) == 1
 
 
-def multiplicative_order(a: int, n: int) -> int:
-    if n < 1 or math.gcd(a, n) != 1:
-        raise ValueError(f"order of {a} mod {n} undefined")
-    if n <= 2:
-        return 1
-    acc = a % n
-    f = 1
-    while acc != 1:
-        acc = acc * a % n
-        f += 1
-    return f
-
-
 class RamifiedPrimeError(ValueError):
     """The prime shares a factor with the cyclotomic modulus, so the
     unramified inertia-degree computation does not apply."""
@@ -208,7 +195,9 @@ def check_nonsurjectivity_conditions(
     m = 2 * k_pm + 1
     if m % p == 0:
         raise RamifiedPrimeError(f"p={p} divides 2*k_pm+1={m}")
-    degrees = tuple(inertia_degree(p, m, i) for i in range(1, k_pm + 1))
+    # f_i depends on i only through d = m / gcd(m, i), a divisor > 1 of m
+    by_d = {d: inertia_degree(p, m, m // d) for d in divisors(m)[1:]}
+    degrees = tuple(by_d[m // math.gcd(m, i)] for i in range(1, k_pm + 1))
     return ConditionReport(
         p=p,
         n=n,

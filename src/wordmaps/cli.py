@@ -2,10 +2,9 @@
 
 Exit codes: 0 = verified/true, 1 = checked-and-false, 2 = usage or input
 error.  JSON output is one document per line; CSV flattens one record per
-row.  The environment variable WORDMAP_BUDGET overrides the evaluation
-budget (a --budget flag wins over the environment).  Every subcommand
-prints the same bytes on every run: `image` reports carry no timing.
-Certificates are computed in `tracepoly`; this module only renders them.
+row.  Every subcommand prints the same bytes on every run: `image`
+reports carry no timing.  Certificates are computed in `tracepoly`; this
+module only renders them.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import re
 import sys
 from typing import Sequence
@@ -35,13 +33,6 @@ EPILOG = (
 )
 
 _SHAPES = {shape.value: shape for shape in words.Shape}
-
-
-def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("WORDMAP_BUDGET")
-    return int(env) if env else gf.DEFAULT_BUDGET
 
 
 def _csv_cell(value) -> str:
@@ -182,7 +173,7 @@ def cmd_conditions(args) -> int:
 def cmd_image(args) -> int:
     # The budget is checked from q alone, before q is factored or the
     # field is built: both take far longer than the check for a large q.
-    budget = _budget(args)
+    budget = args.budget
     if args.q is not None:
         gf.check_budget(args.method, args.q, budget)
         p, n = arith.odd_prime_power(args.q)
@@ -331,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--word", help="word text")
     group.add_argument("--family", help="family mini-syntax, e.g. 'x2yk:+,k=2'")
     sub.add_argument("--method", required=True, choices=("pairs", "scan"))
-    sub.add_argument("--budget", type=int, help="override the evaluation budget")
+    sub.add_argument("--budget", type=int, default=gf.DEFAULT_BUDGET,
+                     help=f"evaluation budget (default {gf.DEFAULT_BUDGET})")
     _add_format(sub, "json")
     sub.set_defaults(func=cmd_image)
 

@@ -1,12 +1,15 @@
 """F_(p^n) arithmetic, SL2/PSL2 enumeration, and word-map image reports.
 
-Field elements are coefficient vectors modulo a fixed monic irreducible
-modulus.  The modulus for (p, n) is deterministic — the first irreducible
-among the monic degree-n candidates ordered lexicographically on the
-coefficient tuple compared low-degree-first — so every report reproduces
-bit-for-bit across machines.  Enumeration orders are fixed and reports
-carry no timing, so two identical runs give identical reports.  Odd
-characteristic only.
+A field element is its index 0..q-1: the coefficients c_0, ..., c_(n-1)
+of its residue modulo a fixed monic irreducible modulus, read as the
+base-p number sum c_i p^i.  Sums and products are looked up in per-field
+tables (field_tables), one path for prime and extension fields.  The
+modulus for (p, n) is deterministic — the first irreducible among the
+monic degree-n candidates ordered lexicographically on the coefficient
+tuple compared low-degree-first — so every report reproduces bit-for-bit
+across machines.  Enumeration orders are fixed and reports carry no
+timing, so two identical runs give identical reports.  Odd characteristic
+only.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .arith import is_prime
 from .tracepoly import tau
@@ -142,31 +145,6 @@ class FieldSpec:
     def q(self) -> int:
         return self.p**self.n
 
-    def zero(self) -> "FqElement":
-        return FqElement(self, (0,) * self.n)
-
-    def one(self) -> "FqElement":
-        return FqElement(self, (1,) + (0,) * (self.n - 1))
-
-    def from_int(self, v: int) -> "FqElement":
-        return FqElement(self, (v % self.p,) + (0,) * (self.n - 1))
-
-    def from_coeffs(self, coeffs: Iterable[int]) -> "FqElement":
-        cs = [c % self.p for c in coeffs]
-        if len(cs) > self.n:
-            cs = list(_pmod(cs, self.modulus, self.p))
-        cs += [0] * (self.n - len(cs))
-        return FqElement(self, tuple(cs))
-
-    def from_index(self, i: int) -> "FqElement":
-        if not 0 <= i < self.q:
-            raise ValueError(f"index {i} out of range for q={self.q}")
-        cs = []
-        for _ in range(self.n):
-            i, r = divmod(i, self.p)
-            cs.append(r)
-        return FqElement(self, tuple(cs))
-
 
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, n: int) -> FieldSpec:
@@ -185,196 +163,55 @@ def make_field(p: int, n: int) -> FieldSpec:
     )
 
 
-class FqElement:
-    """Element of F_(p^n): reduced coefficient tuple, low-degree-first."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FieldSpec, coeffs: tuple[int, ...]):
-        self.field = field
-        self.coeffs = coeffs
-
-    @property
-    def index(self) -> int:
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * self.field.p + c
-        return v
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def _check(self, other: "FqElement") -> None:
-        if self.field is not other.field and self.field != other.field:
-            raise ValueError("field mismatch")
-
-    @staticmethod
-    def _coerce(value, field: FieldSpec):
-        if isinstance(value, FqElement):
-            return value
-        if isinstance(value, int):
-            return field.from_int(value)
-        return NotImplemented
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FqElement):
-            return self.field == other.field and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.field.n, self.coeffs))
-
-    def __add__(self, other) -> "FqElement":
-        other = self._coerce(other, self.field)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
-        p = self.field.p
-        return FqElement(
-            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "FqElement":
-        p = self.field.p
-        return FqElement(self.field, tuple(-c % p for c in self.coeffs))
-
-    def __sub__(self, other) -> "FqElement":
-        other = self._coerce(other, self.field)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "FqElement":
-        return (-self) + other
-
-    def __mul__(self, other) -> "FqElement":
-        other = self._coerce(other, self.field)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
-        field = self.field
-        if field.n == 1:
-            return FqElement(field, ((self.coeffs[0] * other.coeffs[0]) % field.p,))
-        prod = _pmod(_pmul(self.coeffs, other.coeffs, field.p), field.modulus, field.p)
-        return FqElement(field, prod + (0,) * (field.n - len(prod)))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "FqElement":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        field = self.field
-        if field.n == 1:
-            return FqElement(field, (pow(self.coeffs[0], field.p - 2, field.p),))
-        # Fermat: a^(q-1) = 1 in F_q*
-        return self ** (field.q - 2)
-
-    def __pow__(self, e: int) -> "FqElement":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.field.one()
-        acc = self
-        while e:
-            if e & 1:
-                result = result * acc
-            e >>= 1
-            if e:
-                acc = acc * acc
-        return result
-
-    def __repr__(self) -> str:
-        if self.field.n == 1:
-            return f"Fq({self.coeffs[0]} mod {self.field.p})"
-        return f"Fq({list(self.coeffs)} over GF({self.field.p}^{self.field.n}))"
+Tables = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 
 
 @functools.lru_cache(maxsize=None)
-def field_elements(field: FieldSpec) -> tuple[FqElement, ...]:
-    return tuple(field.from_index(i) for i in range(field.q))
+def field_tables(field: FieldSpec) -> Tables:
+    """(add, mul): q x q tables with add[a][b] and mul[a][b] the indices of
+    the sum and the product of the elements with indices a and b.
 
+    The element with coefficients c_0, ..., c_(n-1) (low-degree-first) has
+    index sum c_i p^i, so 0 and 1 are the indices of zero and one, and an
+    integer c in [0, p) is its own index.  The scan needs q^3 <= budget,
+    so the budget bounds each table by budget^(2/3) entries.
+    """
+    p, n, q = field.p, field.n, field.q
+    digits = [tuple(i // p**j % p for j in range(n)) for i in range(q)]
+    weights = [p**j for j in range(n)]
 
-class Mat2:
-    """2x2 determinant-1 matrix over F_(p^n)."""
+    def index(coeffs: Sequence[int]) -> int:
+        return sum(c * w for c, w in zip(coeffs, weights))
 
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: FqElement, b: FqElement, c: FqElement, d: FqElement):
-        det = a * d - b * c
-        if not det == det.field.one():
-            raise ValueError("determinant must be 1")
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-    @staticmethod
-    def _unchecked(a, b, c, d) -> "Mat2":
-        m = object.__new__(Mat2)
-        m.a, m.b, m.c, m.d = a, b, c, d
-        return m
-
-    @classmethod
-    def identity(cls, field: FieldSpec) -> "Mat2":
-        one, zero = field.one(), field.zero()
-        return cls._unchecked(one, zero, zero, one)
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.a.field
-
-    def __mul__(self, other: "Mat2") -> "Mat2":
-        a, b, c, d = self.a, self.b, self.c, self.d
-        e, f, g, h = other.a, other.b, other.c, other.d
-        return Mat2._unchecked(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-    def inv(self) -> "Mat2":
-        return Mat2._unchecked(self.d, -self.b, -self.c, self.a)
-
-    def __neg__(self) -> "Mat2":
-        return Mat2._unchecked(-self.a, -self.b, -self.c, -self.d)
-
-    def trace(self) -> FqElement:
-        return self.a + self.d
-
-    def det(self) -> FqElement:
-        return self.a * self.d - self.b * self.c
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Mat2)
-            and self.a == other.a
-            and self.b == other.b
-            and self.c == other.c
-            and self.d == other.d
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.a.coeffs, self.b.coeffs, self.c.coeffs, self.d.coeffs))
-
-    def __repr__(self) -> str:
-        return f"Mat2[{self.a!r} {self.b!r}; {self.c!r} {self.d!r}]"
+    add = tuple(
+        tuple(index([(x + y) % p for x, y in zip(da, db)]) for db in digits)
+        for da in digits
+    )
+    mul = tuple(
+        tuple(index(_pmod(_pmul(da, db, p), field.modulus, p)) for db in digits)
+        for da in digits
+    )
+    return add, mul
 
 
 @functools.lru_cache(maxsize=None)
-def sl2_group(field: FieldSpec) -> tuple[Mat2, ...]:
-    """All of SL2(F_q), ordered row-major over (a, b, c) with d solved from
-    the determinant when a != 0; for a = 0 the constraint is bc = -1 and d
-    runs over the whole field.  |SL2(F_q)| = q(q^2-1)."""
-    elems = field_elements(field)
-    one = field.one()
+def sl2_group(field: FieldSpec) -> tuple[tuple[int, int, int, int], ...]:
+    """All of SL2(F_q) as index 4-tuples (a, b, c, d) of [a b; c d],
+    ordered row-major over (a, b, c) with d solved from the determinant
+    when a != 0; for a = 0 the constraint is bc = -1 and d runs over the
+    whole field.  |SL2(F_q)| = q(q^2-1)."""
+    add, mul = field_tables(field)
+    q = field.q
+    neg = [row.index(0) for row in add]
     out = []
-    for a in elems:
-        if a.is_zero():
-            for b in elems:
-                if b.is_zero():
-                    continue
-                c = -b.inverse()
-                for d in elems:
-                    out.append(Mat2._unchecked(a, b, c, d))
-        else:
-            ainv = a.inverse()
-            for b in elems:
-                for c in elems:
-                    out.append(Mat2._unchecked(a, b, c, (one + b * c) * ainv))
+    for b in range(1, q):
+        c = neg[mul[b].index(1)]
+        out.extend((0, b, c, d) for d in range(q))
+    for a in range(1, q):
+        ainv = mul[a].index(1)
+        for b in range(q):
+            row = mul[b]
+            out.extend((a, b, c, mul[add[1][row[c]]][ainv]) for c in range(q))
     return tuple(out)
 
 
@@ -382,45 +219,23 @@ def psl2_order(q: int) -> int:
     return q * (q * q - 1) // 2
 
 
-def psl2_canonical(m: Mat2) -> Mat2:
-    """Sign-normalized representative of {m, -m}: the first nonzero
-    coefficient (low-degree-first) of the first nonzero entry (row-major)
-    lies in [1, (p-1)/2]."""
-    half = (m.field.p - 1) // 2
-    for e in (m.a, m.b, m.c, m.d):
-        for coef in e.coeffs:
-            if coef:
-                return m if coef <= half else -m
-    raise ValueError("zero matrix cannot be sign-normalized")
-
-
-def eval_word(w: Word, x: Mat2, y: Mat2) -> Mat2:
-    """Left-to-right product of the letter images; the inverse of
-    [a b; c d] with determinant 1 is [d -b; -c a]."""
-    if x.field != y.field:
-        raise ValueError("x and y must live over the same field")
-    mats = {1: x, -1: x.inv(), 2: y, -2: y.inv()}
-    acc = Mat2.identity(x.field)
-    for letter in w:
-        acc = acc * mats[letter]
-    return acc
-
-
 @dataclass(frozen=True)
 class ImageReport:
     """Verdict of an image enumeration or trace-surface scan.
 
-    `count` is the number of pair evaluations (pairs method) or scanned
-    trace triples (scan method); `surjective` is only meaningful for the
-    pairs method and stays None for the scan, which over-approximates the
-    attainable traces.  Reports carry no timing, so identical runs give
-    identical reports.
+    `image_traces` holds the attained traces as field indices (see
+    field_tables), so 0 is the trace of an involution.  `count` is the
+    number of pair evaluations (pairs method) or scanned trace triples
+    (scan method); `surjective` is only meaningful for the pairs method
+    and stays None for the scan, which over-approximates the attainable
+    traces.  Reports carry no timing, so identical runs give identical
+    reports.
     """
 
     field: FieldSpec
     word: str
     method: str
-    image_traces: frozenset[FqElement]
+    image_traces: frozenset[int]
     misses_involutions: bool
     surjective: bool | None
     count: int
@@ -442,7 +257,7 @@ class ImageReport:
 
 def enumerate_image_pairs(w: Word, field: FieldSpec, budget: int | None = None) -> ImageReport:
     """Evaluate w on every pair in SL2(F_q)^2 and collect the image in
-    PSL2(F_q) (sign-normalized lifts suffice: w(±x, ±y) differs from
+    PSL2(F_q), keying each matrix m by min(m, -m) (w(±x, ±y) differs from
     w(x, y) by a sign only).
 
     Reports the attained traces, whether any trace-0 element (an
@@ -451,26 +266,33 @@ def enumerate_image_pairs(w: Word, field: FieldSpec, budget: int | None = None) 
     budget (default 10^8); use trace_scan for those fields.
     """
     total = check_budget("pairs", field.q, budget)
+    add, mul = field_tables(field)
+    neg = [row.index(0) for row in add]
     group = sl2_group(field)
     letters = w.letters
-    ginv = tuple(g.inv() for g in group)
-    identity = Mat2.identity(field)
-    traces: set[FqElement] = set()
-    images: set[Mat2] = set()
+    # the inverse of [a b; c d] with determinant 1 is [d -b; -c a]
+    ginv = [(d, neg[b], neg[c], a) for a, b, c, d in group]
+    traces: set[int] = set()
+    images: set[tuple[int, int, int, int]] = set()
     for x, xi in zip(group, ginv):
         for y, yi in zip(group, ginv):
             mats = {1: x, -1: xi, 2: y, -2: yi}
-            acc = identity
+            a, b, c, d = 1, 0, 0, 1
             for letter in letters:
-                acc = acc * mats[letter]
-            traces.add(acc.trace())
-            images.add(psl2_canonical(acc))
+                e, f, g, h = mats[letter]
+                ra, rb, rc, rd = mul[a], mul[b], mul[c], mul[d]
+                a, b, c, d = (
+                    add[ra[e]][rb[g]], add[ra[f]][rb[h]],
+                    add[rc[e]][rd[g]], add[rc[f]][rd[h]],
+                )
+            traces.add(add[a][d])
+            images.add(min((a, b, c, d), (neg[a], neg[b], neg[c], neg[d])))
     return ImageReport(
         field=field,
         word=str(w),
         method="pairs",
         image_traces=frozenset(traces),
-        misses_involutions=field.zero() not in traces,
+        misses_involutions=0 not in traces,
         surjective=len(images) == psl2_order(field.q),
         count=total,
     )
@@ -487,41 +309,40 @@ def trace_scan(w: Word, field: FieldSpec, budget: int | None = None) -> ImageRep
     surjectivity, so `surjective` is None.
     """
     total = check_budget("scan", field.q, budget)
+    add, mul = field_tables(field)
     p = field.p
     terms = [
-        (a, b, c, field.from_int(coef))
+        (a, b, c, coef % p)
         for (a, b, c), coef in tau(w).terms.items()
         if coef % p
     ]
-    elems = field_elements(field)
     max_deg = max((max(a, b, c) for a, b, c, _ in terms), default=0)
     pows = []
-    for e in elems:
-        row = [field.one()]
+    for e in range(field.q):
+        row = [1]
         for _ in range(max_deg):
-            row.append(row[-1] * e)
+            row.append(mul[row[-1]][e])
         pows.append(row)
-    zero = field.zero()
-    attained: set[FqElement] = set()
+    attained: set[int] = set()
     for sp in pows:
         for tp in pows:
-            ucoeffs: dict[int, FqElement] = {}
+            ucoeffs: dict[int, int] = {}
             for a, b, c, coef in terms:
-                v = coef * sp[a] * tp[b]
+                v = mul[mul[coef][sp[a]]][tp[b]]
                 prev = ucoeffs.get(c)
-                ucoeffs[c] = v if prev is None else prev + v
+                ucoeffs[c] = v if prev is None else add[prev][v]
             items = list(ucoeffs.items())
             for up in pows:
-                val = zero
+                val = 0
                 for c, coef in items:
-                    val = val + coef * up[c]
+                    val = add[val][mul[coef][up[c]]]
                 attained.add(val)
     return ImageReport(
         field=field,
         word=str(w),
         method="scan",
         image_traces=frozenset(attained),
-        misses_involutions=zero not in attained,
+        misses_involutions=0 not in attained,
         surjective=None,
         count=total,
     )

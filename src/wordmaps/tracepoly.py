@@ -141,7 +141,8 @@ class TracePolynomial:
 
     def evaluate(self, s, t, u):
         """Value at (s, t, u) in any commutative ring whose elements mix with
-        ints under +, * and ** (ints, F_q elements, trace polynomials, ...).
+        ints under +, * and ** (ints, trace polynomials, the F_q elements
+        of the test oracle, ...).
 
         Each distinct coefficient is converted into the ring of s once
         (s*0 + c), and terms whose coefficient vanishes there are dropped;

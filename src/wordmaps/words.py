@@ -79,12 +79,6 @@ class Word:
     def is_identity(self) -> bool:
         return not self.letters
 
-    def exponent_sum(self, gen: int) -> int:
-        """Sum of the signs of the letters carrying the given generator."""
-        if gen not in (1, 2):
-            raise ValueError(f"generator must be 1 or 2, got {gen}")
-        return sum(1 if letter > 0 else -1 for letter in self.letters if abs(letter) == gen)
-
     def syllables(self) -> list[tuple[int, int]]:
         """Maximal runs as (generator, signed exponent) pairs.
 

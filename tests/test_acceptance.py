@@ -5,10 +5,10 @@ import time
 from fractions import Fraction
 
 from wordmaps.arith import check_nonsurjectivity_conditions, scan_primes, length_residues
-from wordmaps.gf import enumerate_image_pairs, eval_word, make_field, sl2_group, trace_scan
+from wordmaps.gf import enumerate_image_pairs, make_field, sl2_group, trace_scan
 from wordmaps.tracepoly import cyclotomic_root_check, tau, verify_factorization, verify_swap
 from wordmaps.words import Shape, Word, family_word, parse_word, standard_corpus
-from util import oracle_proper_power, reduced_letter_tuples
+from util import Mat2, eval_word, oracle_proper_power, reduced_letter_tuples
 
 import random
 
@@ -57,7 +57,8 @@ def test_criterion_3_tau_soundness_oracle():
         group = sl2_group(field)
         polys = [(w, tau(w)) for w in corpus]
         for _ in range(200):
-            x, y = rng.choice(group), rng.choice(group)
+            x = Mat2.from_indices(field, rng.choice(group))
+            y = Mat2.from_indices(field, rng.choice(group))
             s, t, u = x.trace(), y.trace(), (x * y).trace()
             for w, poly in polys:
                 checked += 1

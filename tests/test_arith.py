@@ -14,13 +14,13 @@ from wordmaps.arith import (
     is_square_mod,
     kpm,
     length_residues,
-    multiplicative_order,
     necessary_congruence,
     odd_prime_power,
     primes_up_to,
     scan_primes,
 )
 from wordmaps.words import Shape
+from util import multiplicative_order
 
 
 # -- primality --

@@ -189,12 +189,10 @@ def test_image_budget_checked_before_field_is_built(capsys, field, method):
     assert "budget" in err
 
 
-def test_image_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("WORDMAP_BUDGET", "10")
-    code, _, err = run(capsys, "image", "--q", "3", "--word", "x1", "--method", "pairs")
+def test_image_budget_env_override(capsys):
+    code, _, err = run(capsys, "image", "--q", "3", "--word", "x1", "--method", "pairs", "--budget", "10")
     assert code == 2
-    monkeypatch.setenv("WORDMAP_BUDGET", "1000000")
-    code, _, _ = run(capsys, "image", "--q", "3", "--word", "x1", "--method", "pairs")
+    code, _, _ = run(capsys, "image", "--q", "3", "--word", "x1", "--method", "pairs", "--budget", "1000000")
     assert code == 0
 
 

@@ -6,19 +6,16 @@ import pytest
 from wordmaps.arith import check_nonsurjectivity_conditions, RamifiedPrimeError
 from wordmaps.gf import (
     BudgetExceededError,
-    FieldSpec,
-    Mat2,
     enumerate_image_pairs,
-    eval_word,
-    field_elements,
+    field_tables,
     make_field,
-    psl2_canonical,
     psl2_order,
     sl2_group,
     trace_scan,
 )
 from wordmaps.tracepoly import TracePolynomial, tau
 from wordmaps.words import Shape, Word, family_word, parse_word
+from util import FqElement, Mat2, eval_word, field_elements
 
 
 # -- deterministic modulus selection --
@@ -74,57 +71,69 @@ def test_moduli_are_irreducible_no_roots():
             assert value != 0, (p, n, a)
 
 
-# -- field arithmetic --
+# -- field tables --
+
+@pytest.mark.parametrize(
+    "p,n", [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3), (5, 2), (7, 2), (3, 4)]
+)
+def test_field_tables_match_oracle_exhaustive(p, n):
+    field = make_field(p, n)
+    add, mul = field_tables(field)
+    elems = field_elements(field)
+    for a, x in enumerate(elems):
+        for b, y in enumerate(elems):
+            assert add[a][b] == (x + y).index, (a, b)
+            assert mul[a][b] == (x * y).index, (a, b)
+
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2), (3, 3)])
 def test_inverses_exhaustive(p, n):
-    field = make_field(p, n)
-    one = field.one()
-    for e in field_elements(field):
-        if e.is_zero():
-            with pytest.raises(ZeroDivisionError):
-                e.inverse()
-        else:
-            assert e * e.inverse() == one
+    _, mul = field_tables(make_field(p, n))
+    assert set(mul[0]) == {0}  # zero has no inverse
+    for row in mul[1:]:
+        assert row.count(1) == 1  # exactly one inverse
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2)])
 def test_frobenius_fixes_every_element(p, n):
     field = make_field(p, n)
-    q = field.q
-    for e in field_elements(field):
-        assert e**q == e
+    _, mul = field_tables(field)
+    for e in range(field.q):
+        acc = 1
+        for _ in range(field.q):
+            acc = mul[acc][e]
+        assert acc == e
 
 
 def test_index_round_trip():
     field = make_field(3, 3)
     for i in range(field.q):
-        assert field.from_index(i).index == i
+        assert FqElement.from_index(field, i).index == i
 
 
 def test_from_coeffs_reduces():
     field = make_field(3, 2)  # modulus x^2 + 1
-    e = field.from_coeffs((0, 0, 1))  # x^2 == -1
-    assert e == field.from_int(-1)
+    add, mul = field_tables(field)
+    x = 3  # coefficients (0, 1)
+    assert mul[x][x] == 2  # x^2 == -1
+    assert add[x][mul[2][x]] == 0  # x + 2x == 0
 
 
 # -- matrices --
 
 def test_mat2_constructor_validates_determinant():
     field = make_field(5, 1)
-    one, zero = field.one(), field.zero()
-    Mat2(one, zero, zero, one)
+    Mat2.from_indices(field, (1, 0, 0, 1))
     with pytest.raises(ValueError):
-        Mat2(one, zero, zero, field.from_int(2))
+        Mat2.from_indices(field, (1, 0, 0, 2))
 
 
 def test_mat2_inverse_formula():
     field = make_field(7, 1)
-    m = Mat2(field.from_int(2), field.from_int(3), field.from_int(3), field.from_int(5))
-    assert m.det() == field.one()
+    m = Mat2.from_indices(field, (2, 3, 3, 5))
     assert m * m.inv() == Mat2.identity(field)
-    assert m.inv().a == field.from_int(5)
-    assert m.inv().b == field.from_int(-3)
+    assert m.inv().a.index == 5
+    assert m.inv().b.index == 7 - 3
 
 
 # -- group enumeration --
@@ -136,45 +145,39 @@ def test_sl2_order(p, n):
     q = field.q
     assert len(group) == q * (q * q - 1)
     assert len(set(group)) == len(group)
-    one = field.one()
-    for m in group[:: max(1, len(group) // 97)]:
-        assert m.det() == one
+    for m in group:
+        Mat2.from_indices(field, m)  # checks the determinant
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2)])
 def test_psl2_class_count(p, n):
     field = make_field(p, n)
-    classes = {psl2_canonical(m) for m in sl2_group(field)}
+    mats = (Mat2.from_indices(field, m) for m in sl2_group(field))
+    classes = {frozenset((m, -m)) for m in mats}
     assert len(classes) == psl2_order(field.q)
 
 
-def test_psl2_canonical_identifies_signs():
-    field = make_field(5, 1)
-    for m in sl2_group(field)[:200]:
-        assert psl2_canonical(m) == psl2_canonical(-m)
-
-
-# -- word evaluation --
+# -- word evaluation (the oracle) --
 
 def test_eval_word_empty_is_identity():
     field = make_field(5, 1)
     group = sl2_group(field)
-    assert eval_word(Word(), group[3], group[5]) == Mat2.identity(field)
+    x, y = Mat2.from_indices(field, group[3]), Mat2.from_indices(field, group[5])
+    assert eval_word(Word(), x, y) == Mat2.identity(field)
 
 
 def test_eval_word_single_generator():
     field = make_field(5, 1)
     group = sl2_group(field)
-    x, y = group[7], group[11]
+    x, y = Mat2.from_indices(field, group[7]), Mat2.from_indices(field, group[11])
     assert eval_word(parse_word("x1"), x, y) == x
     assert eval_word(parse_word("x2"), x, y) == y
 
 
 def test_eval_word_commutator_matches_direct_product():
     field = make_field(5, 1)
-    one, zero = field.one(), field.zero()
-    x = Mat2(one, one, zero, one)
-    y = Mat2(one, zero, one, one)
+    x = Mat2.from_indices(field, (1, 1, 0, 1))
+    y = Mat2.from_indices(field, (1, 0, 1, 1))
     direct = x.inv() * y.inv() * x * y
     assert eval_word(parse_word("[x1, x2]"), x, y) == direct
 
@@ -183,9 +186,11 @@ def test_psl2_well_definedness_even_exponent_sums(rng):
     field = make_field(7, 1)
     group = sl2_group(field)
     w = family_word(Shape.X2_YK, 1, 2)  # both exponent sums even
-    assert w.exponent_sum(1) % 2 == 0 and w.exponent_sum(2) % 2 == 0
+    for gen in (1, 2):
+        assert (w.letters.count(gen) - w.letters.count(-gen)) % 2 == 0
     for _ in range(25):
-        x, y = rng.choice(group), rng.choice(group)
+        x = Mat2.from_indices(field, rng.choice(group))
+        y = Mat2.from_indices(field, rng.choice(group))
         assert eval_word(w, -x, y) == eval_word(w, x, y)
         assert eval_word(w, x, -y) == eval_word(w, x, y)
 
@@ -194,13 +199,14 @@ def test_psl2_well_definedness_even_exponent_sums(rng):
 
 def test_eval_trace_poly_examples():
     f7 = make_field(7, 1)
+    zero, one, two, three, five = (FqElement.from_index(f7, i) for i in (0, 1, 2, 3, 5))
     poly = TracePolynomial({(2, 0, 0): 1, (0, 0, 0): -2})  # s^2 - 2
-    assert poly.evaluate(f7.from_int(3), f7.zero(), f7.zero()) == f7.zero()
+    assert poly.evaluate(three, zero, zero) == zero
     const = TracePolynomial.constant(2)
-    assert const.evaluate(f7.from_int(5), f7.from_int(1), f7.from_int(0)) == f7.from_int(2)
-    assert TracePolynomial().evaluate(f7.from_int(5), f7.zero(), f7.zero()) == f7.zero()
+    assert const.evaluate(five, one, zero) == two
+    assert TracePolynomial().evaluate(five, zero, zero) == zero
     # 7*s vanishes in F_7
-    assert TracePolynomial({(1, 0, 0): 7}).evaluate(f7.from_int(3), f7.zero(), f7.zero()) == f7.zero()
+    assert TracePolynomial({(1, 0, 0): 7}).evaluate(three, zero, zero) == zero
 
 
 def test_eval_trace_poly_commutator_cross_check(rng):
@@ -209,7 +215,8 @@ def test_eval_trace_poly_commutator_cross_check(rng):
     w = parse_word("[x1, x2]")
     poly = tau(w)
     for _ in range(20):
-        x, y = rng.choice(group), rng.choice(group)
+        x = Mat2.from_indices(field, rng.choice(group))
+        y = Mat2.from_indices(field, rng.choice(group))
         got = poly.evaluate(x.trace(), y.trace(), (x * y).trace())
         assert got == eval_word(w, x, y).trace()
 
@@ -219,7 +226,8 @@ def test_trace_consistency_on_corpus(p, n, corpus, rng):
     field = make_field(p, n)
     group = sl2_group(field)
     for _ in range(20):
-        x, y = rng.choice(group), rng.choice(group)
+        x = Mat2.from_indices(field, rng.choice(group))
+        y = Mat2.from_indices(field, rng.choice(group))
         s, t, u = x.trace(), y.trace(), (x * y).trace()
         for w in corpus:
             assert eval_word(w, x, y).trace() == tau(w).evaluate(s, t, u), str(w)
@@ -292,6 +300,58 @@ def test_certificate_coherence_scan_implies_pairs():
         if scan.misses_involutions:
             assert pairs.misses_involutions, str(w)
         assert {t for t in pairs.image_traces} <= set(scan.image_traces)
+
+
+# -- kernels against the oracle --
+
+KERNEL_WORDS = ("x1", "x1^2", "[x1, x2]")
+
+
+def _oracle_image_pairs(w, field):
+    """The pairs kernel on oracle matrices: SL2(F_q) found by scanning
+    F_q^4 for determinant 1, each PSL2 element kept as the set {m, -m}.
+    Returns (traces as indices, misses_involutions, surjective)."""
+    elems = field_elements(field)
+    group = [
+        Mat2(*m)
+        for m in itertools.product(elems, repeat=4)
+        if m[0] * m[3] - m[1] * m[2] == elems[1]
+    ]
+    traces, classes = set(), set()
+    for x in group:
+        for y in group:
+            m = eval_word(w, x, y)
+            traces.add(m.trace().index)
+            classes.add(frozenset((m, -m)))
+    return traces, 0 not in traces, len(classes) == len(group) // 2
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_pairs_kernel_matches_oracle(p):
+    field = make_field(p, 1)
+    words = [parse_word(text) for text in KERNEL_WORDS]
+    if p == 3:
+        words += [family_word(Shape.X2_YK, inner, 2) for inner in (1, -1)]
+    for w in words:
+        report = enumerate_image_pairs(w, field)
+        traces, misses, surjective = _oracle_image_pairs(w, field)
+        assert set(report.image_traces) == traces, str(w)
+        assert report.misses_involutions == misses, str(w)
+        assert report.surjective == surjective, str(w)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2)])
+def test_scan_kernel_matches_tau_everywhere(p, n):
+    field = make_field(p, n)
+    elems = field_elements(field)
+    words = [parse_word(text) for text in KERNEL_WORDS]
+    words += [family_word(shape, 1, 2) for shape in Shape]
+    for w in words:
+        poly = tau(w)
+        values = {poly.evaluate(s, t, u).index for s, t, u in itertools.product(elems, repeat=3)}
+        report = trace_scan(w, field)
+        assert set(report.image_traces) == values, str(w)
+        assert report.misses_involutions == (0 not in values), str(w)
 
 
 # -- condition-passing instances reproduce the missing involutions --

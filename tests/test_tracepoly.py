@@ -82,7 +82,8 @@ def test_tau_matches_integer_matrices_on_corpus(corpus, rng):
 def test_tau_soundness_over_finite_fields(corpus):
     # keystone cross-check: 200 random determinant-1 pairs per field,
     # q in {5, 7, 13, 27}, against every corpus word
-    from wordmaps.gf import eval_word, make_field, sl2_group
+    from wordmaps.gf import make_field, sl2_group
+    from util import Mat2, eval_word
 
     rng = random.Random(31337)
     for p, n in ((5, 1), (7, 1), (13, 1), (3, 3)):
@@ -90,7 +91,8 @@ def test_tau_soundness_over_finite_fields(corpus):
         group = sl2_group(field)
         polys = [(w, tau(w)) for w in corpus]
         for _ in range(200):
-            x, y = rng.choice(group), rng.choice(group)
+            x = Mat2.from_indices(field, rng.choice(group))
+            y = Mat2.from_indices(field, rng.choice(group))
             s, t, u = x.trace(), y.trace(), (x * y).trace()
             for w, poly in polys:
                 assert eval_word(w, x, y).trace() == poly.evaluate(s, t, u), (

@@ -1,11 +1,16 @@
 """Shared helpers: integer 2x2 matrix arithmetic (exact, for oracle checks
-against the symbolic trace machinery) and reduced-word enumeration."""
+against the symbolic trace machinery), an F_q element and SL2(F_q) matrix
+type (the oracle for the field tables and kernels of wordmaps.gf),
+reduced-word enumeration, and oracles for proper powers and
+multiplicative orders."""
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Iterator
 
+from wordmaps.gf import FieldSpec
 from wordmaps.words import ALPHABET, Word
 
 IntMat = tuple[tuple[int, int], tuple[int, int]]
@@ -88,3 +93,159 @@ def oracle_proper_power(w: Word) -> tuple[bool, Word | None, int | None]:
         if root ** (n // d) == w:
             return True, root, n // d
     return False, None, None
+
+
+def multiplicative_order(a: int, n: int) -> int:
+    """Least f >= 1 with a^f = 1 (mod n), by repeated multiplication."""
+    if n < 1 or math.gcd(a, n) != 1:
+        raise ValueError(f"order of {a} mod {n} undefined")
+    if n <= 2:
+        return 1
+    acc = a % n
+    f = 1
+    while acc != 1:
+        acc = acc * a % n
+        f += 1
+    return f
+
+
+class FqElement:
+    """Element of F_(p^n): reduced coefficient tuple, low-degree-first.
+
+    Products are schoolbook polynomial products reduced by the monic
+    modulus, so this type shares no arithmetic with the field tables."""
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: FieldSpec, coeffs: tuple[int, ...]):
+        self.field = field
+        self.coeffs = coeffs
+
+    @classmethod
+    def from_index(cls, field: FieldSpec, i: int) -> "FqElement":
+        return cls(field, tuple(i // field.p**j % field.p for j in range(field.n)))
+
+    @property
+    def index(self) -> int:
+        return sum(c * self.field.p**j for j, c in enumerate(self.coeffs))
+
+    def _coerce(self, value: int) -> "FqElement":
+        return FqElement(self.field, (value % self.field.p,) + (0,) * (self.field.n - 1))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, FqElement):
+            return self.field == other.field and self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __add__(self, other) -> "FqElement":
+        if isinstance(other, int):
+            other = self._coerce(other)
+        p = self.field.p
+        return FqElement(self.field, tuple([(a + b) % p for a, b in zip(self.coeffs, other.coeffs)]))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FqElement":
+        p = self.field.p
+        return FqElement(self.field, tuple([-c % p for c in self.coeffs]))
+
+    def __sub__(self, other: "FqElement") -> "FqElement":
+        return self + -other
+
+    def __mul__(self, other) -> "FqElement":
+        if isinstance(other, int):
+            other = self._coerce(other)
+        field = self.field
+        n, modulus = field.n, field.modulus
+        if n == 1:  # the common case, with nothing to reduce
+            return FqElement(field, (self.coeffs[0] * other.coeffs[0] % field.p,))
+        prod = [0] * (2 * n - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    prod[i + j] += a * b
+        # x^n = -(m_0 + ... + m_(n-1) x^(n-1)), from the top degree down
+        for k in range(2 * n - 2, n - 1, -1):
+            c = prod.pop()
+            for i in range(n):
+                prod[k - n + i] -= c * modulus[i]
+        p = field.p
+        return FqElement(field, tuple([c % p for c in prod]))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int) -> "FqElement":
+        result = self._coerce(1)
+        for _ in range(e):
+            result = result * self
+        return result
+
+
+def field_elements(field: FieldSpec) -> list[FqElement]:
+    """Every element of F_q, in index order."""
+    return [FqElement.from_index(field, i) for i in range(field.q)]
+
+
+class Mat2:
+    """2x2 determinant-1 matrix over F_(p^n); the constructor checks the
+    determinant, products and inverses skip the check."""
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: FqElement, b: FqElement, c: FqElement, d: FqElement):
+        self.a, self.b, self.c, self.d = a, b, c, d
+        if self.det() != a._coerce(1):
+            raise ValueError("determinant must be 1")
+
+    @staticmethod
+    def _unchecked(a, b, c, d) -> "Mat2":
+        m = object.__new__(Mat2)
+        m.a, m.b, m.c, m.d = a, b, c, d
+        return m
+
+    @classmethod
+    def from_indices(cls, field: FieldSpec, m: tuple[int, int, int, int]) -> "Mat2":
+        """The matrix of an index 4-tuple (a, b, c, d) from wordmaps.gf."""
+        return cls(*(FqElement.from_index(field, i) for i in m))
+
+    @classmethod
+    def identity(cls, field: FieldSpec) -> "Mat2":
+        return cls._unchecked(*(FqElement.from_index(field, i) for i in (1, 0, 0, 1)))
+
+    def __mul__(self, other: "Mat2") -> "Mat2":
+        a, b, c, d = self.a, self.b, self.c, self.d
+        e, f, g, h = other.a, other.b, other.c, other.d
+        return Mat2._unchecked(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+    def inv(self) -> "Mat2":
+        return Mat2._unchecked(self.d, -self.b, -self.c, self.a)
+
+    def __neg__(self) -> "Mat2":
+        return Mat2._unchecked(-self.a, -self.b, -self.c, -self.d)
+
+    def trace(self) -> FqElement:
+        return self.a + self.d
+
+    def det(self) -> FqElement:
+        return self.a * self.d - self.b * self.c
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Mat2) and (self.a, self.b, self.c, self.d) == (
+            other.a, other.b, other.c, other.d,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c, self.d))
+
+
+def eval_word(w: Word, x: Mat2, y: Mat2) -> Mat2:
+    """Left-to-right product of the letter images; the inverse of
+    [a b; c d] with determinant 1 is [d -b; -c a]."""
+    mats = {1: x, -1: x.inv(), 2: y, -2: y.inv()}
+    acc = Mat2.identity(x.a.field)
+    for letter in w:
+        acc = acc * mats[letter]
+    return acc
