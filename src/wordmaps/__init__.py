@@ -36,8 +36,6 @@ from .tracepoly import (
     render_poly,
     swap_certificate,
     tau,
-    verify_factorization,
-    verify_swap,
 )
 from .words import (
     Shape,

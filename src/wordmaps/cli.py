@@ -1,10 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 = verified/true, 1 = checked-and-false, 2 = usage or input
-error.  JSON output is one document per line; CSV flattens one record per
-row.  Every subcommand prints the same bytes on every run: `image`
-reports carry no timing.  Certificates are computed in `tracepoly`; this
-module only renders them.
+Each `cmd_*` returns `(exit_code, records, text_lines)`, with `text_lines`
+None for the default `k=v` text; `main` is the one place that emits the
+records and maps errors to exit codes: 0 = verified/true, 1 =
+checked-and-false, 2 = usage or input error.  JSON output is one document
+per line; CSV flattens one record per row.  Every subcommand prints the
+same bytes on every run: `image` reports carry no timing.  A reader that
+closes the pipe early gets no traceback, and the exit code stays the
+command's.  Certificates are computed in `tracepoly`; this module only
+renders them.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from typing import Sequence
@@ -32,7 +37,11 @@ EPILOG = (
     "Exit codes: 0 verified/true, 1 checked-and-false, 2 usage/input error."
 )
 
-_SHAPES = {shape.value: shape for shape in words.Shape}
+_SHAPE_NAMES = tuple(shape.value for shape in words.Shape)
+_FAMILY = re.compile(r"\s*(x2yk|xneg2yk|x2ynegk)\s*:\s*([+-])\s*,\s*k\s*=\s*(\d+)\s*")
+_VARIANTS = {1: "plus", -1: "minus"}
+
+Result = tuple[int, list[dict], list[str] | None]
 
 
 def _csv_cell(value) -> str:
@@ -45,7 +54,7 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit(records: list[dict], fmt: str, text_lines=None) -> None:
+def _emit(records: list[dict], fmt: str, text_lines: list[str] | None) -> None:
     if fmt == "json":
         for record in records:
             print(json.dumps(record, ensure_ascii=False))
@@ -57,190 +66,122 @@ def _emit(records: list[dict], fmt: str, text_lines=None) -> None:
             for record in records:
                 writer.writerow([_csv_cell(record.get(key)) for key in header])
     else:
-        lines = text_lines() if text_lines is not None else None
-        if lines is None:
-            lines = [
+        if text_lines is None:
+            text_lines = (
                 "  ".join(f"{k}={_csv_cell(v)}" for k, v in record.items())
                 for record in records
-            ]
-        for line in lines:
+            )
+        for line in text_lines:
             print(line)
 
 
-def _parse_family(text: str) -> tuple[words.Shape, int, int]:
-    m = re.fullmatch(
-        r"\s*(x2yk|xneg2yk|x2ynegk)\s*:\s*([+-])\s*,\s*k\s*=\s*(\d+)\s*", text
-    )
-    if not m:
-        raise ValueError(
-            f"bad family {text!r}; expected e.g. 'x2yk:+,k=2' (see --help)"
-        )
-    shape = _SHAPES[m.group(1)]
-    inner = 1 if m.group(2) == "+" else -1
-    return shape, inner, int(m.group(3))
+def _field_lines(record: dict) -> list[str]:
+    return [f"{k}: {_csv_cell(v)}" for k, v in record.items()]
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args) -> Result:
     w = words.parse_word(args.word)
-    poly = tracepoly.tau(w)
-    record = {"word": str(w), "trace_polynomial": str(poly)}
-    _emit([record], args.format, text_lines=lambda: [str(poly)])
-    return 0
+    poly = str(tracepoly.tau(w))
+    return 0, [{"word": str(w), "trace_polynomial": poly}], [poly]
 
 
-def _swap_certificates(kmin, kmax, signs):
+def _certificates(lemma: str, kmin: int, kmax: int, signs, shapes):
+    """One record per certificate, from the (lhs, rhs, verdict) triple of
+    tracepoly; only factorization records carry a shape, and cyclotomic
+    records have no variant."""
     for k in range(kmin, kmax + 1):
-        for sign in signs:
-            lhs, rhs, verdict = tracepoly.swap_certificate(k, sign)
-            yield {
-                "lemma": "swap",
-                "k": k,
-                "variant": "plus" if sign > 0 else "minus",
-                "verdict": verdict,
-                "lhs": str(lhs),
-                "rhs": str(rhs),
-            }
+        if lemma == "cyclotomic":
+            lhs = tracepoly.render_poly(tracepoly.alternating_dickson_sum(k), names="T")
+            rhs = f"0 in Z[x]/Phi_d(x) at T = -(x + x^(d-1)), d | {2 * k + 1}, d > 1"
+            cases = [(None, None, (lhs, rhs, tracepoly.cyclotomic_root_check(k)))]
+        elif lemma == "swap":
+            cases = ((None, sign, tracepoly.swap_certificate(k, sign)) for sign in signs)
+        else:
+            cases = (
+                (shape, sign, tracepoly.factorization_certificate(k, shape, sign))
+                for shape in shapes
+                for sign in signs
+            )
+        for shape, sign, (lhs, rhs, verdict) in cases:
+            shape_key = {"shape": shape.value} if shape else {}
+            yield {"lemma": lemma, "k": k, **shape_key, "variant": _VARIANTS.get(sign),
+                   "verdict": verdict, "lhs": str(lhs), "rhs": str(rhs)}
 
 
-def _factorization_certificates(kmin, kmax, signs, shapes):
-    for k in range(kmin, kmax + 1):
-        for shape in shapes:
-            for sign in signs:
-                lhs, rhs, verdict = tracepoly.factorization_certificate(k, shape, sign)
-                yield {
-                    "lemma": "factorization",
-                    "k": k,
-                    "shape": shape.value,
-                    "variant": "plus" if sign > 0 else "minus",
-                    "verdict": verdict,
-                    "lhs": str(lhs),
-                    "rhs": str(rhs),
-                }
-
-
-def _cyclotomic_certificates(kmin, kmax):
-    for k_pm in range(kmin, kmax + 1):
-        candidate = tracepoly.alternating_dickson_sum(k_pm)
-        yield {
-            "lemma": "cyclotomic",
-            "k": k_pm,
-            "variant": None,
-            "verdict": tracepoly.cyclotomic_root_check(k_pm),
-            "lhs": tracepoly.render_poly(candidate, names="T"),
-            "rhs": f"0 in Z[x]/Phi_d(x) at T = -(x + x^(d-1)), d | {2 * k_pm + 1}, d > 1",
-        }
-
-
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Result:
     if args.k_min > args.k_max:
-        print("error: empty k range", file=sys.stderr)
-        return 2
+        raise ValueError("empty k range")
+    if args.lemma != "swap" and args.k_min < 1:
+        note = " (k is k_pm here)" if args.lemma == "cyclotomic" else ""
+        raise ValueError(f"{args.lemma} requires k >= 1{note}")
     signs = {"plus": (1,), "minus": (-1,), "all": (1, -1)}[args.variant]
-    if args.lemma == "swap":
-        certs = list(_swap_certificates(args.k_min, args.k_max, signs))
-    elif args.lemma == "factorization":
-        if args.k_min < 1:
-            print("error: factorization requires k >= 1", file=sys.stderr)
-            return 2
-        shapes = (
-            tuple(words.Shape) if args.shape == "all" else (_SHAPES[args.shape],)
-        )
-        certs = list(
-            _factorization_certificates(args.k_min, args.k_max, signs, shapes)
-        )
-    else:
-        if args.k_min < 1:
-            print("error: cyclotomic requires k >= 1 (k is k_pm here)", file=sys.stderr)
-            return 2
-        certs = list(_cyclotomic_certificates(args.k_min, args.k_max))
-    _emit(certs, args.format)
-    return 0 if all(cert["verdict"] for cert in certs) else 1
+    shapes = tuple(words.Shape) if args.shape == "all" else (words.Shape(args.shape),)
+    certs = list(_certificates(args.lemma, args.k_min, args.k_max, signs, shapes))
+    return (0 if all(cert["verdict"] for cert in certs) else 1), certs, None
 
 
-def cmd_conditions(args) -> int:
+def cmd_conditions(args) -> Result:
     report = arith.check_nonsurjectivity_conditions(
-        args.p, args.n, args.k, _SHAPES[args.shape]
+        args.p, args.n, args.k, words.Shape(args.shape)
     )
     record = report.to_dict()
-    _emit(
-        [record],
-        args.format,
-        text_lines=lambda: [f"{k}: {_csv_cell(v)}" for k, v in record.items()],
-    )
-    return 0 if report.verdict else 1
+    return (0 if report.verdict else 1), [record], _field_lines(record)
 
 
-def cmd_image(args) -> int:
+def cmd_image(args) -> Result:
     # The budget is checked from q alone, before q is factored or the
     # field is built: both take far longer than the check for a large q.
     budget = args.budget
     if args.q is not None:
+        if args.p is not None or args.n is not None:
+            raise ValueError("give --q or --p and --n, not both")
         gf.check_budget(args.method, args.q, budget)
         p, n = arith.odd_prime_power(args.q)
     else:
         if args.p is None or args.n is None:
-            print("error: provide --q or both --p and --n", file=sys.stderr)
-            return 2
+            raise ValueError("provide --q or both --p and --n")
         p, n = args.p, args.n
         if p > 2 and n > 0:  # make_field rejects the rest
             # p^n > 2^n is over the budget once n passes its bit length:
             # the exponent is capped there, so an absurd n is never formed
             gf.check_budget(args.method, p ** min(n, budget.bit_length() + 1), budget)
     field = gf.make_field(p, n)
-    family = None
     if args.family is not None:
-        shape, inner, k = _parse_family(args.family)
-        w = words.family_word(shape, inner, k)
-        family = (shape, k)
+        m = _FAMILY.fullmatch(args.family)
+        if not m:
+            raise ValueError(f"bad family {args.family!r}; expected e.g. 'x2yk:+,k=2' (see --help)")
+        shape, k = words.Shape(m[1]), int(m[3])
+        w = words.family_word(shape, 1 if m[2] == "+" else -1, k)
     else:
         w = words.parse_word(args.word)
     runner = gf.enumerate_image_pairs if args.method == "pairs" else gf.trace_scan
     report = runner(w, field, budget=budget)
     record = report.to_dict()
-    _emit(
-        [record],
-        args.format,
-        text_lines=lambda: [f"{k}: {_csv_cell(v)}" for k, v in record.items()],
-    )
-    if family is not None:
-        shape, k = family
-        try:
-            conditions = arith.check_nonsurjectivity_conditions(p, n, k, shape)
-        except ValueError:
-            return 0
-        if conditions.verdict and not report.misses_involutions:
-            return 1
-    return 0
+    code = 0
+    if args.family is not None and not report.misses_involutions:
+        try:  # 1: the conditions hold, yet the image meets the involutions
+            code = int(arith.check_nonsurjectivity_conditions(p, n, k, shape).verdict)
+        except ValueError:  # the conditions do not apply to this field
+            pass
+    return code, [record], _field_lines(record)
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> Result:
     primes, report = arith.scan_primes(args.kpm, args.p_max)
     record = {"kpm": args.kpm, "p_max": args.p_max, "primes": primes}
     record.update(report.to_dict())
-    _emit(
-        [record],
-        args.format,
-        text_lines=lambda: [" ".join(str(p) for p in primes)],
-    )
-    return 0
+    return 0, [record], [" ".join(str(p) for p in primes)]
 
 
-def cmd_density(args) -> int:
+def cmd_density(args) -> Result:
     _, report = arith.scan_primes(args.kpm, args.x)
     record = report.to_dict()
-    _emit(
-        [record],
-        args.format,
-        text_lines=lambda: [f"{k}: {_csv_cell(v)}" for k, v in record.items()],
-    )
-    return 0
+    return 0, [record], _field_lines(record)
 
 
-def cmd_lengths(args) -> int:
+def cmd_lengths(args) -> Result:
     families = (
-        list(words.Shape)[:2]
-        if args.family == "both"
-        else [_SHAPES[args.family]]
+        list(words.Shape)[:2] if args.family == "both" else [words.Shape(args.family)]
     )
     records = []
     union: set[int] = set()
@@ -257,15 +198,8 @@ def cmd_lengths(args) -> int:
             }
         )
     records.append({"family": "union", "r_max": args.r_max, "residues_mod_18": sorted(union)})
-
-    def text() -> list[str]:
-        lines = [
-            f"{r['family']}: residues mod 18 = {r['residues_mod_18']}" for r in records
-        ]
-        return lines
-
-    _emit(records, args.format, text_lines=text)
-    return 0
+    lines = [f"{r['family']}: residues mod 18 = {r['residues_mod_18']}" for r in records]
+    return 0, records, lines
 
 
 def _add_format(sub, default: str) -> None:
@@ -301,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k-max", type=int, required=True)
     sub.add_argument("--variant", choices=("plus", "minus", "all"), default="all",
                      help="inner sign of y1 (ignored for cyclotomic)")
-    sub.add_argument("--shape", choices=tuple(_SHAPES) + ("all",), default="all",
+    sub.add_argument("--shape", choices=_SHAPE_NAMES + ("all",), default="all",
                      help="word shape (factorization only)")
     _add_format(sub, "json")
     sub.set_defaults(func=cmd_verify)
@@ -310,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--shape", choices=tuple(_SHAPES), default="x2yk")
+    sub.add_argument("--shape", choices=_SHAPE_NAMES, default="x2yk")
     _add_format(sub, "json")
     sub.set_defaults(func=cmd_conditions)
 
@@ -351,27 +285,30 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed_corpus:
-        for w in words.standard_corpus():
-            print(str(w))
-        return 0
-    if not hasattr(args, "func"):
+    if not args.seed_corpus and not hasattr(args, "func"):
         parser.print_usage(sys.stderr)
         return 2
+    code = 0
     try:
-        return args.func(args)
-    except words.WordSyntaxError as exc:
-        print(f"error: syntax error: {exc}", file=sys.stderr)
-        return 2
-    except gf.BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if args.seed_corpus:
+            for w in words.standard_corpus():
+                print(str(w))
+        else:
+            code, records, text_lines = args.func(args)
+            _emit(records, args.format, text_lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left: keep the exit code, and point stdout at devnull
+        # so that the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except arith.CongruenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (arith.RamifiedPrimeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, gf.BudgetExceededError) as exc:
+        kind = "syntax error: " if isinstance(exc, words.WordSyntaxError) else ""
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

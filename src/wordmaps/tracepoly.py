@@ -20,7 +20,8 @@ tr(XY) = u.  All coefficients are exact arbitrary-precision integers.
 from __future__ import annotations
 
 import functools
-from typing import Mapping
+import itertools
+from typing import Iterator, Mapping
 
 from .arith import kpm
 from .words import Shape, Word, family_word, y1, yk
@@ -233,7 +234,14 @@ def tau(w: Word) -> TracePolynomial:
     return 2 * c1 + S * cx + T * cy + U * cxy
 
 
-@functools.lru_cache(maxsize=None)
+def _dicksons() -> Iterator[TracePolynomial]:
+    """D_0, D_1, D_2, ... by the recurrence, one product by s per step."""
+    prev, cur = TracePolynomial.constant(2), S
+    while True:
+        yield prev
+        prev, cur = cur, S * cur - prev
+
+
 def dickson(i: int) -> TracePolynomial:
     """Trace-of-power polynomials in s: D_0 = 2, D_1 = s,
     D_(i+1) = s*D_i - D_(i-1), so that tr(g^i) = D_i(tr g) for any
@@ -242,11 +250,7 @@ def dickson(i: int) -> TracePolynomial:
     x^i D_i(x + x^-1) = x^(2i) + 1 in Z[x]."""
     if i < 0:
         raise ValueError(f"index must be >= 0, got {i}")
-    if i == 0:
-        return TracePolynomial.constant(2)
-    if i == 1:
-        return S
-    return S * dickson(i - 1) - dickson(i - 2)
+    return next(itertools.islice(_dicksons(), i, None))
 
 
 def alternating_dickson_sum(n: int) -> TracePolynomial:
@@ -254,9 +258,9 @@ def alternating_dickson_sum(n: int) -> TracePolynomial:
     that the outer-power trace factorization multiplies by (s^2 - 2)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    acc = TracePolynomial.constant((-1) ** n)
-    for i in range(1, n + 1):
-        acc = acc + (-1) ** (n - i) * dickson(i)
+    acc = ONE  # A_0 = 1 and A_i = D_i - A_(i-1)
+    for d in itertools.islice(_dicksons(), 1, n + 1):
+        acc = d - acc
     return acc
 
 
@@ -301,11 +305,6 @@ def swap_certificate(k: int, inner_sign: int = 1) -> tuple[TracePolynomial, Trac
     return lhs, rhs, lhs == rhs
 
 
-def verify_swap(k: int, inner_sign: int = 1) -> bool:
-    """The verdict of swap_certificate."""
-    return swap_certificate(k, inner_sign)[2]
-
-
 def factorization_sum_form(k: int, which: Shape, inner_sign: int = 1) -> TracePolynomial:
     """(s^2 - 2) * (sum_(i=1..kpm) (-1)^(kpm-i) tau(y_i) + (-1)^kpm), with
     tau(y_i) produced by substituting tau(y_1) into the power recurrence.
@@ -329,10 +328,3 @@ def factorization_certificate(
         tau(_X1SQ * yk(inner_sign, -k)) == tau(_X1NEGSQ * yk(inner_sign, k))
     )
     return lhs, rhs, verdict
-
-
-def verify_factorization(k: int, which: Shape, inner_sign: int | None = None) -> bool:
-    """The verdict of factorization_certificate for the requested y1
-    variant (default: both)."""
-    signs = (1, -1) if inner_sign is None else (inner_sign,)
-    return all(factorization_certificate(k, which, sign)[2] for sign in signs)

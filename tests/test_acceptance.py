@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from wordmaps.arith import check_nonsurjectivity_conditions, scan_primes, length_residues
 from wordmaps.gf import enumerate_image_pairs, make_field, sl2_group, trace_scan
-from wordmaps.tracepoly import cyclotomic_root_check, tau, verify_factorization, verify_swap
+from wordmaps.tracepoly import cyclotomic_root_check, factorization_certificate, swap_certificate, tau
 from wordmaps.words import Shape, Word, family_word, parse_word, standard_corpus
 from util import Mat2, eval_word, oracle_proper_power, reduced_letter_tuples
 
@@ -25,7 +25,7 @@ def test_criterion_1_swap_identity_desk_scale():
     certificates = 0
     for k in range(-8, 9):
         for inner in (1, -1):
-            assert verify_swap(k, inner), (k, inner)
+            assert swap_certificate(k, inner)[2], (k, inner)
             certificates += 1
     elapsed = time.perf_counter() - start
     assert certificates == 34
@@ -39,7 +39,7 @@ def test_criterion_2_factorization_and_cyclotomic():
     for k in range(1, 9):
         for which in Shape:
             for inner in (1, -1):
-                assert verify_factorization(k, which, inner), (k, which, inner)
+                assert factorization_certificate(k, which, inner)[2], (k, which, inner)
     for k_pm in range(1, 9):
         assert cyclotomic_root_check(k_pm), k_pm
     elapsed = time.perf_counter() - start

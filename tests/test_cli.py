@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import wordmaps
 from wordmaps.cli import main
 from wordmaps.words import parse_word
 
@@ -79,9 +84,29 @@ def test_verify_cyclotomic(capsys):
 
 
 def test_verify_empty_range_usage_error(capsys):
-    code, _, err = run(capsys, "verify", "--lemma", "swap", "--k-min", "3", "--k-max", "1")
+    code, out, err = run(capsys, "verify", "--lemma", "swap", "--k-min", "3", "--k-max", "1")
     assert code == 2
-    assert "empty" in err
+    assert out == ""
+    assert err == "error: empty k range\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--lemma", "factorization", "--k-min", "0", "--k-max", "2"),
+         "error: factorization requires k >= 1"),
+        (("verify", "--lemma", "cyclotomic", "--k-min", "0", "--k-max", "2"),
+         "error: cyclotomic requires k >= 1 (k is k_pm here)"),
+        (("image", "--word", "x1", "--method", "scan"),
+         "error: provide --q or both --p and --n"),
+    ],
+    ids=["factorization-k0", "cyclotomic-k0", "image-no-field"],
+)
+def test_usage_error_messages(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == message + "\n"
 
 
 def test_verify_csv(capsys):
@@ -167,6 +192,14 @@ def test_image_p_n_flags(capsys):
     assert record["q"] == 9 and record["p"] == 3 and record["n"] == 2
 
 
+@pytest.mark.parametrize("extra", [("--p", "5", "--n", "1"), ("--p", "3"), ("--n", "2")])
+def test_image_q_with_p_or_n_is_usage_error(capsys, extra):
+    code, out, err = run(capsys, "image", "--q", "9", *extra, "--word", "x1", "--method", "scan")
+    assert code == 2
+    assert out == ""
+    assert "--q" in err and "not both" in err
+
+
 def test_image_budget_exceeded_suggests_scan(capsys):
     code, _, err = run(
         capsys, "image", "--q", "27", "--family", "x2yk:+,k=2", "--method", "pairs"
@@ -197,9 +230,10 @@ def test_image_budget_env_override(capsys):
 
 
 def test_image_bad_family_syntax(capsys):
-    code, _, err = run(capsys, "image", "--q", "3", "--family", "zk:2", "--method", "scan")
+    code, out, err = run(capsys, "image", "--q", "3", "--family", "zk:2", "--method", "scan")
     assert code == 2
-    assert "family" in err
+    assert out == ""
+    assert err == "error: bad family 'zk:2'; expected e.g. 'x2yk:+,k=2' (see --help)\n"
 
 
 def test_image_bad_q(capsys):
@@ -254,6 +288,33 @@ def test_seed_corpus_round_trips(capsys):
     assert len(lines) >= 40
     for line in lines:
         parse_word(line)  # must parse back (blank line = empty word)
+
+
+def test_closed_pipe_keeps_exit_code_without_traceback():
+    # about 1 MB of certificates, far beyond a 64 KB pipe buffer; the
+    # reader leaves after 100 bytes
+    env = dict(os.environ, PYTHONPATH=str(Path(wordmaps.__file__).parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wordmaps", "verify", "--lemma", "factorization",
+         "--k-min", "1", "--k-max", "12"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+
+
+def test_seed_corpus_closed_pipe(monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = open(write_end, "w")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert main(["--seed-corpus"]) == 0
+    finally:
+        stdout.close()  # flushes into devnull, which now holds the descriptor
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import math
+from fractions import Fraction
 
 from wordmaps import tracepoly
 from wordmaps.tracepoly import (
@@ -13,11 +14,11 @@ from wordmaps.tracepoly import (
     alternating_dickson_sum,
     cyclotomic_root_check,
     dickson,
+    factorization_certificate,
     factorization_sum_form,
     render_poly,
+    swap_certificate,
     tau,
-    verify_factorization,
-    verify_swap,
 )
 from wordmaps.words import Shape, Word, parse_word, random_reduced_word, y1, yk
 from util import eval_word_int, mat_mul, mat_trace, random_int_sl2
@@ -153,26 +154,37 @@ def test_dickson_rejects_negative():
         dickson(-1)
 
 
+def test_dickson_large_index_without_recursion():
+    # far past the interpreter's recursion limit, with no smaller index
+    # computed first; D_i(x + 1/x) = x^i + x^-i at x = 2
+    i = 1500
+    d = dickson(i)
+    assert max(a for a, _, _ in d.terms) == i and d.terms[(i, 0, 0)] == 1
+    assert d.evaluate(Fraction(5, 2), 0, 0) == 2**i + Fraction(1, 2**i)
+    assert d.evaluate(-2, 0, 0) == 2
+
+
 # -- swap identity --
 
 def test_swap_k1_both_sides_equal_s2_minus_2():
     for inner in (1, -1):
         assert tau(parse_word("x1^-2") * yk(inner, 1)) == S * S - 2
-    assert verify_swap(1, 1) and verify_swap(1, -1)
+    assert swap_certificate(1, 1)[2] and swap_certificate(1, -1)[2]
 
 
 def test_swap_k0():
-    assert verify_swap(0, 1) and verify_swap(0, -1)
+    assert swap_certificate(0, 1)[2] and swap_certificate(0, -1)[2]
 
 
 def test_swap_negative_k():
-    assert verify_swap(-3, 1) and verify_swap(-3, -1)
+    assert swap_certificate(-3, 1)[2] and swap_certificate(-3, -1)[2]
 
 
 def test_swap_full_range():
     for k in range(-8, 9):
         for inner in (1, -1):
-            assert verify_swap(k, inner), (k, inner)
+            lhs, rhs, verdict = swap_certificate(k, inner)
+            assert verdict and lhs == rhs, (k, inner)
 
 
 # -- factorization --
@@ -197,7 +209,9 @@ def test_sum_form_k2_x2yk():
 def test_verify_factorization_small_range():
     for k in range(1, 5):
         for which in Shape:
-            assert verify_factorization(k, which), (k, which)
+            for inner in (1, -1):
+                lhs, rhs, verdict = factorization_certificate(k, which, inner)
+                assert verdict and lhs == rhs, (k, which, inner)
 
 
 def test_perturbed_sum_is_detected():

@@ -78,7 +78,13 @@ def reduced_letter_tuples(max_len: int) -> Iterator[tuple[int, ...]]:
 def oracle_proper_power(w: Word) -> tuple[bool, Word | None, int | None]:
     """Independent proper-power decision: strip the conjugating shell via
     word algebra, then for each divisor root-length rebuild the candidate
-    power through free multiplication and compare with w itself."""
+    power through free multiplication and compare with w itself.
+
+    A candidate exponent m is skipped unless it divides the gcd of w's two
+    exponent sums: conjugation keeps those sums, and v^m multiplies them
+    by m."""
+    sums = [sum((l > 0) - (l < 0) for l in w.letters if abs(l) == g) for g in (1, 2)]
+    exponent_gcd = math.gcd(*sums)
     core = w
     conj = Word()
     while core.letters and core.letters[0] == -core.letters[-1]:
@@ -87,7 +93,7 @@ def oracle_proper_power(w: Word) -> tuple[bool, Word | None, int | None]:
         core = (~g) * core * g
     n = len(core)
     for d in range(1, n):
-        if n % d:
+        if n % d or exponent_gcd % (n // d):
             continue
         root = conj * Word(core.letters[:d]) * ~conj
         if root ** (n // d) == w:
