@@ -29,6 +29,7 @@ from .gf import (
 from .tracepoly import (
     TracePolynomial,
     alternating_dickson_sum,
+    cyclotomic_certificate,
     cyclotomic_root_check,
     dickson,
     factorization_certificate,

@@ -91,9 +91,7 @@ def _certificates(lemma: str, kmin: int, kmax: int, signs, shapes):
     records have no variant."""
     for k in range(kmin, kmax + 1):
         if lemma == "cyclotomic":
-            lhs = tracepoly.render_poly(tracepoly.alternating_dickson_sum(k), names="T")
-            rhs = f"0 in Z[x]/Phi_d(x) at T = -(x + x^(d-1)), d | {2 * k + 1}, d > 1"
-            cases = [(None, None, (lhs, rhs, tracepoly.cyclotomic_root_check(k)))]
+            cases = [(None, None, tracepoly.cyclotomic_certificate(k))]
         elif lemma == "swap":
             cases = ((None, sign, tracepoly.swap_certificate(k, sign)) for sign in signs)
         else:

@@ -15,6 +15,12 @@ Cayley-Hamilton identity m + m^-1 = tr(m)*1; the test suite validates it
 numerically against random integer determinant-1 matrices), and finally
 reads the trace off the coordinates via tr(1) = 2, tr(X) = s, tr(Y) = t,
 tr(XY) = u.  All coefficients are exact arbitrary-precision integers.
+
+Inside the walk a monomial s^i t^j u^k is the int i*B^2 + j*B + k with
+B = 2^bits > len(w) + 1, so a product by s, t or u adds a constant to the
+key.  No exponent carries into the next field: each letter raises each
+variable's exponent by at most 1 and the read-off by 1 more, so every
+exponent stays at most len(w) + 1 < B.
 """
 
 from __future__ import annotations
@@ -192,7 +198,6 @@ ONE = TracePolynomial.constant(1)
 S = TracePolynomial({(1, 0, 0): 1})
 T = TracePolynomial({(0, 1, 0): 1})
 U = TracePolynomial({(0, 0, 1): 1})
-_ST_MINUS_U = S * T - U
 
 
 def render_poly(p: TracePolynomial, names: str = "stu") -> str:
@@ -211,27 +216,83 @@ def render_poly(p: TracePolynomial, names: str = "stu") -> str:
     return "".join(pieces) or "0"
 
 
+def _combine(*parts: tuple[int, dict[int, int], int]) -> dict[int, int]:
+    """The sum of sign * poly * x, one (sign, poly, shift) per part, where
+    poly is keyed by packed monomials and x is the monomial packed as
+    shift (a product by x adds shift to every key); zeros are dropped."""
+    (sign, poly, shift), *rest = parts
+    if sign > 0:
+        out = {m + shift: c for m, c in poly.items()} if shift else dict(poly)
+    else:
+        out = {m + shift: -c for m, c in poly.items()}
+    get = out.get
+    for sign, poly, shift in rest:  # one loop per sign keeps the test out of the inner loop
+        if sign > 0:
+            for m, c in poly.items():
+                m += shift
+                v = get(m, 0) + c
+                if v:
+                    out[m] = v
+                else:  # c != 0, so m was present
+                    del out[m]
+        else:
+            for m, c in poly.items():
+                m += shift
+                v = get(m, 0) - c
+                if v:
+                    out[m] = v
+                else:
+                    del out[m]
+    return out
+
+
 @functools.lru_cache(maxsize=4096)
 def tau(w: Word) -> TracePolynomial:
     """Trace polynomial of w: for every field and every determinant-1 pair
     (x, y), tr(w(x, y)) = tau(w)(tr x, tr y, tr xy).
 
     Walks e = c1*1 + cx*X + cy*Y + cxy*XY letter by letter, e -> e*X or
-    e*Y by the rules above, with e*X^-1 = s*e - e*X and e*Y^-1 = t*e - e*Y."""
-    c1, cx, cy, cxy = ONE, ZERO, ZERO, ZERO
+    e*Y by the rules above, and e -> e*X^-1 = s*e - e*X or
+    e*Y^-1 = t*e - e*Y expanded into direct formulas.  Each new coordinate
+    is one dict built from shifted copies of the old ones, on the packed
+    keys of the module docstring: bits = (len(w) + 2).bit_length() gives
+    B = 2^bits > len(w) + 2, above every exponent.  The keys are unpacked
+    to exponent triples once, at the end."""
+    bits = (len(w) + 2).bit_length()  # every exponent is <= len(w) + 1 < 2^bits
+    s, t, u = 1 << 2 * bits, 1 << bits, 1
+    c1, cx, cy, cxy = {0: 1}, {}, {}, {}
     for letter in w:
-        if letter in (1, -1):
-            n1 = -cx - _ST_MINUS_U * cy - T * cxy
-            nx = c1 + S * cx + T * cy + U * cxy
-            ny, nxy = S * cy + cxy, -cy
+        if letter == 1:
+            c1, cx, cy, cxy = (
+                _combine((-1, cx, 0), (-1, cy, s + t), (1, cy, u), (-1, cxy, t)),
+                _combine((1, c1, 0), (1, cx, s), (1, cy, t), (1, cxy, u)),
+                _combine((1, cy, s), (1, cxy, 0)),
+                _combine((-1, cy, 0)),
+            )
+        elif letter == -1:
+            c1, cx, cy, cxy = (
+                _combine((1, cx, 0), (1, c1, s), (1, cy, s + t), (-1, cy, u), (1, cxy, t)),
+                _combine((-1, c1, 0), (-1, cy, t), (-1, cxy, u)),
+                _combine((-1, cxy, 0)),
+                _combine((1, cy, 0), (1, cxy, s)),
+            )
+        elif letter == 2:
+            c1, cx, cy, cxy = (
+                _combine((-1, cy, 0)),
+                _combine((-1, cxy, 0)),
+                _combine((1, c1, 0), (1, cy, t)),
+                _combine((1, cx, 0), (1, cxy, t)),
+            )
         else:
-            n1, nx, ny, nxy = -cy, -cxy, c1 + T * cy, cx + T * cxy
-        if letter > 0:
-            c1, cx, cy, cxy = n1, nx, ny, nxy
-        else:
-            g = S if letter == -1 else T
-            c1, cx, cy, cxy = g * c1 - n1, g * cx - nx, g * cy - ny, g * cxy - nxy
-    return 2 * c1 + S * cx + T * cy + U * cxy
+            c1, cx, cy, cxy = (
+                _combine((1, c1, t), (1, cy, 0)),
+                _combine((1, cx, t), (1, cxy, 0)),
+                _combine((-1, c1, 0)),
+                _combine((-1, cx, 0)),
+            )
+    trace = _combine((1, c1, 0), (1, c1, 0), (1, cx, s), (1, cy, t), (1, cxy, u))
+    mask = t - 1
+    return TracePolynomial({(m >> 2 * bits, (m >> bits) & mask, m & mask): c for m, c in trace.items()})
 
 
 def _dicksons() -> Iterator[TracePolynomial]:
@@ -264,10 +325,13 @@ def alternating_dickson_sum(n: int) -> TracePolynomial:
     return acc
 
 
-def cyclotomic_root_check(k_pm: int) -> bool:
-    """Certify A = alternating_dickson_sum(k_pm) equals the monic product
+def cyclotomic_certificate(k_pm: int) -> tuple[str, str, bool]:
+    """(lhs, rhs, verdict) for the cyclotomic root check: lhs is
+    A = alternating_dickson_sum(k_pm) as text in T, rhs the roots it
+    claims, and the verdict certifies that A equals the monic product
     prod_(i=1..k_pm) (T + zeta^i + zeta^(-i)), zeta a primitive m-th root
-    of unity, m = 2*k_pm + 1, by an exact identity in Z[x].
+    of unity, m = 2*k_pm + 1, by an exact identity in Z[x].  A is built
+    once.
 
     Put T = x + x^-1.  Each factor is x^-1 (x + zeta^i)(x + zeta^-i), so
     x^k_pm times the product is prod_(j=1..m-1) (x + zeta^j)
@@ -282,14 +346,21 @@ def cyclotomic_root_check(k_pm: int) -> bool:
     if k_pm < 1:
         raise ValueError(f"k_pm must be >= 1, got {k_pm}")
     candidate = alternating_dickson_sum(k_pm)
-    if any(b or c or a > k_pm for a, b, c in candidate.terms):
-        return False
-    x_sq_plus_1 = S * S + 1
-    lhs = ZERO
-    for j in range(k_pm, -1, -1):
-        lhs = lhs * x_sq_plus_1 + candidate.terms.get((j, 0, 0), 0) * S ** (k_pm - j)
     m = 2 * k_pm + 1
-    return lhs == TracePolynomial({(j, 0, 0): (-1) ** j for j in range(m)})
+    lhs = render_poly(candidate, names="T")
+    rhs = f"0 in Z[x]/Phi_d(x) at T = -(x + x^(d-1)), d | {m}, d > 1"
+    if any(b or c or a > k_pm for a, b, c in candidate.terms):
+        return lhs, rhs, False
+    x_sq_plus_1 = S * S + 1
+    identity = ZERO
+    for j in range(k_pm, -1, -1):
+        identity = identity * x_sq_plus_1 + candidate.terms.get((j, 0, 0), 0) * S ** (k_pm - j)
+    return lhs, rhs, identity == TracePolynomial({(j, 0, 0): (-1) ** j for j in range(m)})
+
+
+def cyclotomic_root_check(k_pm: int) -> bool:
+    """The verdict of cyclotomic_certificate(k_pm)."""
+    return cyclotomic_certificate(k_pm)[2]
 
 
 _X1SQ = Word((1, 1))

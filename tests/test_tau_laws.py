@@ -1,0 +1,42 @@
+"""Property tests of the laws every trace polynomial obeys, on words drawn
+by hypothesis.  `derandomize=True` and no example database make every run
+draw the same words; the example count and word length keep it short."""
+
+from hypothesis import given, settings, strategies as st
+
+from wordmaps.tracepoly import S, TracePolynomial, tau
+from wordmaps.words import Word
+
+LAWS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=16).map(Word)
+X1 = Word((1,))
+SWAP = {1: 2, -1: -2, 2: 1, -2: -1}
+
+
+@LAWS
+@given(words)
+def test_tau_of_inverse(w):
+    assert tau(~w) == tau(w)
+
+
+@LAWS
+@given(words, st.integers(min_value=0, max_value=15))
+def test_tau_invariant_under_rotation(w, i):
+    letters = w.letters
+    i = i % len(letters) if letters else 0
+    assert tau(Word(letters[i:] + letters[:i])) == tau(w)
+
+
+@LAWS
+@given(words)
+def test_swapping_generators_swaps_s_and_t(w):
+    # w(y, x) has trace tau(w)(tr y, tr x, tr yx), and tr yx = tr xy
+    assert tau(Word(SWAP[a] for a in w)) == TracePolynomial({(b, a, c): k for (a, b, c), k in tau(w).terms.items()})
+
+
+@LAWS
+@given(words)
+def test_trace_identity_with_x1(w):
+    # tr(g x) + tr(g x^-1) = tr(g) tr(x)
+    assert tau(w * X1) + tau(w * ~X1) == S * tau(w)

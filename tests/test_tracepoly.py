@@ -12,6 +12,7 @@ from wordmaps.tracepoly import (
     TracePolynomial,
     U,
     alternating_dickson_sum,
+    cyclotomic_certificate,
     cyclotomic_root_check,
     dickson,
     factorization_certificate,
@@ -20,8 +21,8 @@ from wordmaps.tracepoly import (
     swap_certificate,
     tau,
 )
-from wordmaps.words import Shape, Word, parse_word, random_reduced_word, y1, yk
-from util import eval_word_int, mat_mul, mat_trace, random_int_sl2
+from wordmaps.words import Shape, Word, family_word, parse_word, random_reduced_word, y1, yk
+from util import eval_word_int, mat_mul, mat_trace, oracle_tau, random_int_sl2
 
 MINUS = "−"
 
@@ -118,6 +119,28 @@ def test_tau_trace_identity(corpus, rng):
         w1 = rng.choice(corpus)
         w2 = rng.choice(corpus)
         assert tau(w1 * w2) + tau(w1 * ~w2) == tau(w1) * tau(w2)
+
+
+# -- the packed walk against the TracePolynomial walk of tests/util.py --
+
+def _oracle_words(kind: str, corpus) -> list[Word]:
+    if kind == "corpus":
+        return [Word(), *corpus]
+    if kind == "families":
+        return [family_word(shape, sign, k) for shape in Shape for sign in (1, -1) for k in range(1, 13)]
+    if kind == "random":
+        rng = random.Random(20261018)
+        return [random_reduced_word(rng, 40) for _ in range(300)]
+    # n = 2^b - 1 and 2^b + 1 reach s^n, t^n or u^n at the edge of the
+    # packing width, so a width one bit too narrow carries between fields
+    bases = ((1,), (2,), (1, 2), (-1,), (-2,), (-2, -1))
+    return [Word(base * n) for b in range(3, 8) for n in range(2**b - 2, 2**b + 2) for base in bases]
+
+
+@pytest.mark.parametrize("kind", ["corpus", "families", "random", "powers"])
+def test_tau_matches_oracle_walk(kind, corpus):
+    for w in _oracle_words(kind, corpus):
+        assert tau(w) == oracle_tau(w), str(w)
 
 
 # -- dickson recurrence --
@@ -260,6 +283,28 @@ def test_root_check_float_oracle():
         for j in range(1, k + 1):
             root = -2 * math.cos(2 * math.pi * j / (2 * k + 1))
             assert abs(poly.evaluate(root, 0.0, 0.0)) < 1e-6, (k, j)
+
+
+def test_cyclotomic_certificate_text_and_verdict():
+    lhs, rhs, verdict = cyclotomic_certificate(2)
+    assert lhs == f"T^2 {MINUS} T {MINUS} 1"
+    assert rhs == "0 in Z[x]/Phi_d(x) at T = -(x + x^(d-1)), d | 5, d > 1"
+    assert verdict
+    with pytest.raises(ValueError):
+        cyclotomic_certificate(0)
+
+
+def test_cyclotomic_certificate_builds_the_sum_once(monkeypatch, capsys):
+    from wordmaps.cli import main
+
+    original = tracepoly.alternating_dickson_sum
+    calls = []
+    monkeypatch.setattr(
+        tracepoly, "alternating_dickson_sum", lambda n: calls.append(n) or original(n)
+    )
+    assert main(["verify", "--lemma", "cyclotomic", "--k-min", "1", "--k-max", "6"]) == 0
+    capsys.readouterr()
+    assert calls == [1, 2, 3, 4, 5, 6]
 
 
 @pytest.mark.parametrize(

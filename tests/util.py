@@ -1,8 +1,9 @@
 """Shared helpers: integer 2x2 matrix arithmetic (exact, for oracle checks
-against the symbolic trace machinery), an F_q element and SL2(F_q) matrix
-type (the oracle for the field tables and kernels of wordmaps.gf),
-reduced-word enumeration, and oracles for proper powers and
-multiplicative orders."""
+against the symbolic trace machinery), the letter walk of tau on
+TracePolynomial arithmetic (the oracle for the packed walk of
+wordmaps.tracepoly), an F_q element and SL2(F_q) matrix type (the oracle
+for the field tables and kernels of wordmaps.gf), reduced-word
+enumeration, and oracles for proper powers and multiplicative orders."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import random
 from typing import Iterator
 
 from wordmaps.gf import FieldSpec
+from wordmaps.tracepoly import S, T, U, TracePolynomial
 from wordmaps.words import ALPHABET, Word
 
 IntMat = tuple[tuple[int, int], tuple[int, int]]
@@ -54,6 +56,28 @@ def eval_word_int(w: Word, x: IntMat, y: IntMat) -> IntMat:
     for letter in w:
         acc = mat_mul(acc, mats[letter])
     return acc
+
+
+def oracle_tau(w: Word) -> TracePolynomial:
+    """tau(w) by walking e = c1*1 + cx*X + cy*Y + cxy*XY letter by letter
+    through TracePolynomial arithmetic, with the rewriting rules of the
+    wordmaps.tracepoly docstring, e*X^-1 = s*e - e*X and e*Y^-1 = t*e - e*Y;
+    trace 2*c1 + s*cx + t*cy + u*cxy."""
+    zero = TracePolynomial()
+    c1, cx, cy, cxy = TracePolynomial.constant(1), zero, zero, zero
+    for letter in w:
+        if letter in (1, -1):
+            n1 = -cx - (S * T - U) * cy - T * cxy
+            nx = c1 + S * cx + T * cy + U * cxy
+            ny, nxy = S * cy + cxy, -cy
+        else:
+            n1, nx, ny, nxy = -cy, -cxy, c1 + T * cy, cx + T * cxy
+        if letter > 0:
+            c1, cx, cy, cxy = n1, nx, ny, nxy
+        else:
+            g = S if letter == -1 else T
+            c1, cx, cy, cxy = g * c1 - n1, g * cx - nx, g * cy - ny, g * cxy - nxy
+    return 2 * c1 + S * cx + T * cy + U * cxy
 
 
 def reduced_letter_tuples(max_len: int) -> Iterator[tuple[int, ...]]:
