@@ -175,23 +175,44 @@ def field_tables(field: FieldSpec) -> Tables:
     index sum c_i p^i, so 0 and 1 are the indices of zero and one, and an
     integer c in [0, p) is its own index.  The scan needs q^3 <= budget,
     so the budget bounds each table by budget^(2/3) entries.
+
+    Both tables are filled by lookups, with no polynomial arithmetic per
+    entry.  `mul` comes from a log table: g is the first primitive element
+    in index order, the q - 1 powers g^i are walked by one polynomial
+    product each, and mul[a][b] = g^((log a + log b) mod (q-1)) for
+    nonzero a and b.  `add` is built one base-p digit at a time: its row
+    for the index c + p*h repeats the row of h, each entry h' widened to
+    the p indices p*h' + (c + d mod p) for d = 0..p-1.
     """
     p, n, q = field.p, field.n, field.q
-    digits = [tuple(i // p**j % p for j in range(n)) for i in range(q)]
     weights = [p**j for j in range(n)]
-
-    def index(coeffs: Sequence[int]) -> int:
-        return sum(c * w for c, w in zip(coeffs, weights))
-
-    add = tuple(
-        tuple(index([(x + y) % p for x, y in zip(da, db)]) for db in digits)
-        for da in digits
+    for g in range(2, q):  # 1 is not primitive: q >= 3
+        gen = tuple(g // w % p for w in weights)
+        exp, power = [1], (1,)
+        while True:
+            power = _pmod(_pmul(power, gen, p), field.modulus, p)
+            index = sum(c * w for c, w in zip(power, weights))
+            if index == 1:
+                break
+            exp.append(index)
+        if len(exp) == q - 1:
+            break
+    log = [0] * q
+    for i, e in enumerate(exp):
+        log[e] = i
+    logs, exp2 = log[1:], exp + exp
+    mul = ((0,) * q,) + tuple(
+        (0,) + tuple(map(exp2[log[a]:].__getitem__, logs)) for a in range(1, q)
     )
-    mul = tuple(
-        tuple(index(_pmod(_pmul(da, db, p), field.modulus, p)) for db in digits)
-        for da in digits
-    )
-    return add, mul
+    shifts = [tuple(range(c, p)) + tuple(range(c)) for c in range(p)]
+    add: list[tuple[int, ...]] = [(0,)]
+    for _ in range(n):
+        add = [
+            tuple(p * h + d for h in row for d in shifts[c])
+            for row in add
+            for c in range(p)
+        ]
+    return tuple(add), mul
 
 
 @functools.lru_cache(maxsize=None)
@@ -225,11 +246,11 @@ class ImageReport:
 
     `image_traces` holds the attained traces as field indices (see
     field_tables), so 0 is the trace of an involution.  `count` is the
-    number of pair evaluations (pairs method) or scanned trace triples
-    (scan method); `surjective` is only meaningful for the pairs method
-    and stays None for the scan, which over-approximates the attainable
-    traces.  Reports carry no timing, so identical runs give identical
-    reports.
+    number of pair evaluations (pairs method) or the q^3 trace triples
+    the scan covers (scan method); `surjective` is only meaningful for the
+    pairs method and stays None for the scan, whose traces are exactly
+    the image's (see trace_scan) but do not decide surjectivity.  Reports
+    carry no timing, so identical runs give identical reports.
     """
 
     field: FieldSpec
@@ -299,18 +320,27 @@ def enumerate_image_pairs(w: Word, field: FieldSpec, budget: int | None = None) 
 
 
 def trace_scan(w: Word, field: FieldSpec, budget: int | None = None) -> ImageReport:
-    """Evaluate tau(w) at every (s, t, u) in F_q^3 and report the attained
-    values.
+    """Evaluate tau(w) over F_q^3 and report the attained values.
 
-    The triples realized by actual pairs form a subset of F_q^3, so 0
-    being absent from the scan certifies that no trace-0 element — hence
-    no involution of PSL2(F_q) — lies in the image, independently of
-    which triples are realized.  The scan says nothing about
-    surjectivity, so `surjective` is None.
+    Every triple of F_q^3 is (tr x, tr y, tr xy) for some pair x, y in
+    SL2(F_q) (Macbeath 1969), so the attained values are exactly the traces
+    of the image, and 0 missing certifies that no involution of PSL2(F_q)
+    lies in the image.  Traces alone do not decide surjectivity (a trace
+    of +-2 may come from +-1 or from a unipotent), so `surjective` is None.
+
+    The scan takes one (s, t) row, with every u, per orbit of three
+    symmetries of the reduced polynomial P, and marks the orbit's rows:
+    - (s, u) -> (-s, -u) multiplies P by (-1)^(a+c) when every term
+      s^a t^b u^c of P has the same parity of a + c;
+    - (t, u) -> (-t, -u) likewise with b + c;
+    - x -> x^p maps each value v to v^p, as P has its coefficients in F_p.
+    The attained set is kept closed under v -> v^p, and under v -> -v when
+    a sign in use is odd, so it equals the plain scan's; the scan stops
+    once it holds all q values.  `count` stays q^3, the budget count.
     """
     total = check_budget("scan", field.q, budget)
     add, mul = field_tables(field)
-    p = field.p
+    p, n, q = field.p, field.n, field.q
     terms = [
         (a, b, c, coef % p)
         for (a, b, c), coef in tau(w).terms.items()
@@ -318,25 +348,56 @@ def trace_scan(w: Word, field: FieldSpec, budget: int | None = None) -> ImageRep
     ]
     max_deg = max((max(a, b, c) for a, b, c, _ in terms), default=0)
     pows = []
-    for e in range(field.q):
+    for e in range(q):
         row = [1]
         for _ in range(max_deg):
             row.append(mul[row[-1]][e])
         pows.append(row)
+    neg = [row.index(0) for row in add]
+    frob = list(range(q))  # x -> x^p, the identity on F_p
+    if n > 1:
+        for e in range(q):
+            for _ in range(p - 1):
+                frob[e] = mul[frob[e]][e]
+    s_parities = {(a + c) & 1 for a, _, c, _ in terms}
+    t_parities = {(b + c) & 1 for _, b, c, _ in terms}
+    # a sign symmetry is in use only when every term has the same parity;
+    # s_twin[s] is the row partner of s under it, or s itself
+    s_twin = neg if len(s_parities) <= 1 else range(q)
+    t_twin = neg if len(t_parities) <= 1 else range(q)
+    negate = s_parities == {1} or t_parities == {1}
+    scanned = bytearray(q * q)
     attained: set[int] = set()
-    for sp in pows:
-        for tp in pows:
-            ucoeffs: dict[int, int] = {}
-            for a, b, c, coef in terms:
-                v = mul[mul[coef][sp[a]]][tp[b]]
-                prev = ucoeffs.get(c)
-                ucoeffs[c] = v if prev is None else add[prev][v]
-            items = list(ucoeffs.items())
-            for up in pows:
-                val = 0
-                for c, coef in items:
-                    val = add[val][mul[coef][up[c]]]
-                attained.add(val)
+    for st in range(q * q):
+        if scanned[st]:
+            continue
+        s, t = divmod(st, q)
+        sp, tp = pows[s], pows[t]
+        for _ in range(n):
+            for s2 in (s, s_twin[s]):
+                for t2 in (t, t_twin[t]):
+                    scanned[s2 * q + t2] = 1
+            s, t = frob[s], frob[t]
+        ucoeffs: dict[int, int] = {}
+        for a, b, c, coef in terms:
+            v = mul[mul[coef][sp[a]]][tp[b]]
+            prev = ucoeffs.get(c)
+            ucoeffs[c] = v if prev is None else add[prev][v]
+        items = list(ucoeffs.items())
+        values = set()
+        for up in pows:
+            val = 0
+            for c, coef in items:
+                val = add[val][mul[coef][up[c]]]
+            values.add(val)
+        for v in values - attained:
+            for _ in range(n):
+                attained.add(v)
+                if negate:
+                    attained.add(neg[v])
+                v = frob[v]
+        if len(attained) == q:
+            break
     return ImageReport(
         field=field,
         word=str(w),

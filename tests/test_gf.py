@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from wordmaps.arith import check_nonsurjectivity_conditions, RamifiedPrimeError
+import util
+from wordmaps import gf
+from wordmaps.arith import check_nonsurjectivity_conditions, odd_prime_power, RamifiedPrimeError
 from wordmaps.gf import (
     BudgetExceededError,
     enumerate_image_pairs,
@@ -15,7 +17,7 @@ from wordmaps.gf import (
 )
 from wordmaps.tracepoly import TracePolynomial, tau
 from wordmaps.words import Shape, Word, family_word, parse_word
-from util import FqElement, Mat2, eval_word, field_elements
+from util import FqElement, Mat2, eval_word, field_elements, oracle_trace_scan
 
 
 # -- deterministic modulus selection --
@@ -74,7 +76,7 @@ def test_moduli_are_irreducible_no_roots():
 # -- field tables --
 
 @pytest.mark.parametrize(
-    "p,n", [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3), (5, 2), (7, 2), (3, 4)]
+    "p,n", [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3), (5, 2), (7, 2), (3, 4), (11, 1), (5, 3)]
 )
 def test_field_tables_match_oracle_exhaustive(p, n):
     field = make_field(p, n)
@@ -286,8 +288,25 @@ def test_scan_budget_exceeded():
         trace_scan(parse_word("x1"), field, budget=1000)
 
 
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_every_trace_triple_is_realised(p, n):
+    # Macbeath 1969: every (s, t, u) in F_q^3 is (tr x, tr y, tr xy) for
+    # some pair in SL2(F_q)^2, so the scan's values are the image's traces
+    field = make_field(p, n)
+    add, mul = field_tables(field)
+    group = sl2_group(field)
+    triples = set()
+    for a, b, c, d in group:
+        s = add[a][d]
+        for e, f, g, h in group:
+            u = add[add[mul[a][e]][mul[b][g]]][add[mul[c][f]][mul[d][h]]]
+            triples.add((s, add[e][h], u))
+    assert len(triples) == field.q**3
+
+
 def test_certificate_coherence_scan_implies_pairs():
-    # the scan over-approximates: scan-misses must imply pairs-misses
+    # the scan attains exactly the pairs' traces (Macbeath, see
+    # test_every_trace_triple_is_realised): scan-misses imply pairs-misses
     cases = [
         (family_word(Shape.X2_YK, 1, 2), make_field(3, 1)),
         (family_word(Shape.X2_YK, -1, 2), make_field(3, 1)),
@@ -352,6 +371,57 @@ def test_scan_kernel_matches_tau_everywhere(p, n):
         report = trace_scan(w, field)
         assert set(report.image_traces) == values, str(w)
         assert report.misses_involutions == (0 not in values), str(w)
+
+
+# -- the symmetry scan against the plain scan --
+
+SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1), (5, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("p,n", SMALL_FIELDS)
+def test_scan_matches_plain_scan_on_corpus(p, n, corpus):
+    field = make_field(p, n)
+    for w in corpus:
+        assert trace_scan(w, field) == oracle_trace_scan(w, field), str(w)
+
+
+@pytest.mark.parametrize("q", [25, 27, 49])
+def test_scan_matches_plain_scan_on_families(q):
+    field = make_field(*odd_prime_power(q))
+    for shape in Shape:
+        for inner in (1, -1):
+            for k in (1, 2):
+                w = family_word(shape, inner, k)
+                assert trace_scan(w, field) == oracle_trace_scan(w, field), str(w)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
+def test_scan_matches_plain_scan_with_odd_exponent_sums(p, n):
+    # odd sums make a sign symmetry negate the values
+    field = make_field(p, n)
+    for text in ("x1 x2^3", "x1^3 x2^2", "[x1, x2] x1", "x2 x1^-1 x2^2"):
+        w = parse_word(text)
+        sums = [sum((a > 0) - (a < 0) for a in w if abs(a) == g) for g in (1, 2)]
+        assert any(e % 2 for e in sums), text
+        assert trace_scan(w, field) == oracle_trace_scan(w, field), text
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (7, 1), (5, 2), (3, 3)])
+def test_scan_of_mixed_parity_terms_matches_plain_scan(p, n, monkeypatch):
+    # tau never mixes parities (test_tau_laws), so stand-in polynomials
+    # reach the kernel's guard: s^3 + s^2 mixes them in s, t^3 + t^2 in t,
+    # and s^2 t + t + s in both
+    field = make_field(p, n)
+    for terms in (
+        {(3, 0, 0): 1, (2, 0, 0): 1},
+        {(0, 3, 0): 1, (0, 2, 0): 1},
+        {(2, 1, 0): 1, (0, 1, 0): 1, (1, 0, 0): 1},
+    ):
+        poly = TracePolynomial(terms)
+        monkeypatch.setattr(gf, "tau", lambda w: poly)
+        monkeypatch.setattr(util, "tau", lambda w: poly)
+        w = parse_word("x1")
+        assert trace_scan(w, field) == oracle_trace_scan(w, field), terms
 
 
 # -- condition-passing instances reproduce the missing involutions --

@@ -40,3 +40,31 @@ def test_swapping_generators_swaps_s_and_t(w):
 def test_trace_identity_with_x1(w):
     # tr(g x) + tr(g x^-1) = tr(g) tr(x)
     assert tau(w * X1) + tau(w * ~X1) == S * tau(w)
+
+
+def _exponent_sum(w, g):
+    return sum((a > 0) - (a < 0) for a in w if abs(a) == g)
+
+
+@LAWS
+@given(words)
+def test_sign_of_x1_negates_s_and_u(w):
+    # w(-x, y) = (-1)^(e1) w(x, y), and tr(-x) = -s, tr(-x y) = -u
+    flipped = TracePolynomial({(a, b, c): k * (-1) ** (a + c) for (a, b, c), k in tau(w).terms.items()})
+    assert flipped == (-1) ** (_exponent_sum(w, 1) % 2) * tau(w)
+
+
+@LAWS
+@given(words)
+def test_sign_of_x2_negates_t_and_u(w):
+    flipped = TracePolynomial({(a, b, c): k * (-1) ** (b + c) for (a, b, c), k in tau(w).terms.items()})
+    assert flipped == (-1) ** (_exponent_sum(w, 2) % 2) * tau(w)
+
+
+@LAWS
+@given(words)
+def test_every_monomial_has_the_exponent_sum_parities(w):
+    # the parities trace_scan reads off the reduced terms
+    e1, e2 = _exponent_sum(w, 1), _exponent_sum(w, 2)
+    for a, b, c in tau(w).terms:
+        assert (a + c - e1) % 2 == 0 and (b + c - e2) % 2 == 0, (a, b, c)

@@ -2,8 +2,9 @@
 against the symbolic trace machinery), the letter walk of tau on
 TracePolynomial arithmetic (the oracle for the packed walk of
 wordmaps.tracepoly), an F_q element and SL2(F_q) matrix type (the oracle
-for the field tables and kernels of wordmaps.gf), reduced-word
-enumeration, and oracles for proper powers and multiplicative orders."""
+for the field tables and kernels of wordmaps.gf), the plain trace scan
+(the oracle for wordmaps.gf.trace_scan), reduced-word enumeration, and
+oracles for proper powers and multiplicative orders."""
 
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ import math
 import random
 from typing import Iterator
 
-from wordmaps.gf import FieldSpec
-from wordmaps.tracepoly import S, T, U, TracePolynomial
+from wordmaps.gf import FieldSpec, ImageReport, check_budget, field_tables
+from wordmaps.tracepoly import S, T, U, TracePolynomial, tau
 from wordmaps.words import ALPHABET, Word
 
 IntMat = tuple[tuple[int, int], tuple[int, int]]
@@ -279,3 +280,47 @@ def eval_word(w: Word, x: Mat2, y: Mat2) -> Mat2:
     for letter in w:
         acc = acc * mats[letter]
     return acc
+
+
+def oracle_trace_scan(w: Word, field: FieldSpec, budget: int | None = None) -> ImageReport:
+    """The plain trace scan: tau(w) reduced mod p, evaluated at every
+    (s, t, u) in F_q^3 through the field tables, with no symmetry and no
+    early exit."""
+    total = check_budget("scan", field.q, budget)
+    add, mul = field_tables(field)
+    p = field.p
+    terms = [
+        (a, b, c, coef % p)
+        for (a, b, c), coef in tau(w).terms.items()
+        if coef % p
+    ]
+    max_deg = max((max(a, b, c) for a, b, c, _ in terms), default=0)
+    pows = []
+    for e in range(field.q):
+        row = [1]
+        for _ in range(max_deg):
+            row.append(mul[row[-1]][e])
+        pows.append(row)
+    attained: set[int] = set()
+    for sp in pows:
+        for tp in pows:
+            ucoeffs: dict[int, int] = {}
+            for a, b, c, coef in terms:
+                v = mul[mul[coef][sp[a]]][tp[b]]
+                prev = ucoeffs.get(c)
+                ucoeffs[c] = v if prev is None else add[prev][v]
+            items = list(ucoeffs.items())
+            for up in pows:
+                val = 0
+                for c, coef in items:
+                    val = add[val][mul[coef][up[c]]]
+                attained.add(val)
+    return ImageReport(
+        field=field,
+        word=str(w),
+        method="scan",
+        image_traces=frozenset(attained),
+        misses_involutions=0 not in attained,
+        surjective=None,
+        count=total,
+    )
