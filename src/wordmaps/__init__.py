@@ -10,7 +10,6 @@ from .arith import (
     inertia_degree,
     is_prime,
     is_square_mod,
-    kpm,
     length_residues,
     necessary_congruence,
     scan_primes,
@@ -30,7 +29,6 @@ from .tracepoly import (
     TracePolynomial,
     alternating_dickson_sum,
     cyclotomic_certificate,
-    cyclotomic_root_check,
     dickson,
     factorization_certificate,
     factorization_sum_form,
@@ -46,6 +44,7 @@ from .words import (
     cyclic_reduce,
     family_word,
     is_proper_power,
+    parse_family,
     parse_word,
     render,
     standard_corpus,

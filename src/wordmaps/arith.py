@@ -138,12 +138,6 @@ def necessary_congruence(k_pm: int) -> bool:
     return k_pm % 3 != 1
 
 
-def kpm(k: int, which: Shape) -> int:
-    """Effective index: k for the x1^2 y_k shape, k - 1 for the two shapes
-    whose trace agrees with x1^(-2) y_k (including x1^2 y_(-k))."""
-    return k if which is Shape.X2_YK else k - 1
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     """Structured verdict for the three non-surjectivity conditions."""
@@ -187,7 +181,7 @@ def check_nonsurjectivity_conditions(
         raise ValueError(f"p must be an odd prime, got {p}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    k_pm = kpm(k, which)
+    k_pm = which.kpm(k)
     if k_pm < 1:
         raise ValueError(
             f"shape {which.value} with k={k} has effective index {k_pm} < 1"
@@ -304,17 +298,18 @@ def scan_primes(k_pm: int, p_max: int) -> tuple[list[int], DensityReport]:
 
 
 def length_residues(family: Shape, r_max: int) -> tuple[list[int], set[int]]:
-    """Admissible reduced word lengths for r <= r_max, and their residues
-    mod 18.
+    """Admissible reduced word lengths for r = 2k+1 <= r_max, and their
+    residues mod 18.
 
-    The x1^2 shapes give length 3r-1 for odd r >= 5 not divisible by 3;
-    the x1^-2 shape gives length 3r-5 for odd r >= 7 with r+1 not
-    divisible by 3.
+    The family word of index k has reduced length 6k + 2*outer_sign, that
+    is 3r-1 for the x1^2 shapes and 3r-5 for the x1^-2 shape; its length
+    is admissible when family.kpm(k) >= 1 passes necessary_congruence.
     """
     if r_max < 7:
         raise ValueError(f"r_max must be >= 7, got {r_max}")
-    if family is Shape.XNEG2_YK:
-        lengths = [3 * r - 5 for r in range(7, r_max + 1, 2) if (r + 1) % 3 != 0]
-    else:
-        lengths = [3 * r - 1 for r in range(5, r_max + 1, 2) if r % 3 != 0]
+    lengths = [
+        6 * k + 2 * family.outer_sign
+        for k in range(1, (r_max - 1) // 2 + 1)
+        if family.kpm(k) >= 1 and necessary_congruence(family.kpm(k))
+    ]
     return lengths, {length % 18 for length in lengths}

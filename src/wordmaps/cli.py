@@ -17,28 +17,20 @@ import argparse
 import csv
 import json
 import os
-import re
 import sys
 from typing import Sequence
 
 from . import arith, gf, tracepoly, words
 
-WORD_HELP = (
-    "word grammar: word := term+ ; term := factor ('^' integer)? ; "
-    "factor := 'x1' | 'x2' | '(' word ')' | '[' word ',' word ']'. "
-    "Whitespace is ignored; the commutator convention is [a,b] = a^-1 b^-1 a b; "
-    "exponent 0 expands to the empty word."
-)
+_SHAPE_NAMES = tuple(shape.value for shape in words.Shape)
 
 EPILOG = (
-    WORD_HELP
-    + " Family mini-syntax: 'SHAPE:SIGN,k=K' with SHAPE one of x2yk|xneg2yk|x2ynegk "
+    words.WORD_HELP
+    + f" Family mini-syntax: 'SHAPE:SIGN,k=K' with SHAPE one of {'|'.join(_SHAPE_NAMES)} "
     "and SIGN the inner sign of y1 = x1^2 x2 x1^(SIGN 2) x2^-1, e.g. 'x2yk:+,k=2'. "
     "Exit codes: 0 verified/true, 1 checked-and-false, 2 usage/input error."
 )
 
-_SHAPE_NAMES = tuple(shape.value for shape in words.Shape)
-_FAMILY = re.compile(r"\s*(x2yk|xneg2yk|x2ynegk)\s*:\s*([+-])\s*,\s*k\s*=\s*(\d+)\s*")
 _VARIANTS = {1: "plus", -1: "minus"}
 
 Result = tuple[int, list[dict], list[str] | None]
@@ -145,11 +137,8 @@ def cmd_image(args) -> Result:
             gf.check_budget(args.method, p ** min(n, budget.bit_length() + 1), budget)
     field = gf.make_field(p, n)
     if args.family is not None:
-        m = _FAMILY.fullmatch(args.family)
-        if not m:
-            raise ValueError(f"bad family {args.family!r}; expected e.g. 'x2yk:+,k=2' (see --help)")
-        shape, k = words.Shape(m[1]), int(m[3])
-        w = words.family_word(shape, 1 if m[2] == "+" else -1, k)
+        shape, sign, k = words.parse_family(args.family)
+        w = words.family_word(shape, sign, k)
     else:
         w = words.parse_word(args.word)
     runner = gf.enumerate_image_pairs if args.method == "pairs" else gf.trace_scan
@@ -221,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command")
 
     sub = subs.add_parser("trace", help="print the trace polynomial of a word",
-                          epilog=WORD_HELP)
+                          epilog=words.WORD_HELP)
     sub.add_argument("word", help="word text, e.g. \"x1^2 [x1^-2, x2^-1]\"")
     _add_format(sub, "text")
     sub.set_defaults(func=cmd_trace)

@@ -223,7 +223,7 @@ def sl2_group(field: FieldSpec) -> tuple[tuple[int, int, int, int], ...]:
     whole field.  |SL2(F_q)| = q(q^2-1)."""
     add, mul = field_tables(field)
     q = field.q
-    neg = [row.index(0) for row in add]
+    neg = mul[field.p - 1]  # negation is the product by -1, whose index is p - 1
     out = []
     for b in range(1, q):
         c = neg[mul[b].index(1)]
@@ -288,7 +288,7 @@ def enumerate_image_pairs(w: Word, field: FieldSpec, budget: int | None = None) 
     """
     total = check_budget("pairs", field.q, budget)
     add, mul = field_tables(field)
-    neg = [row.index(0) for row in add]
+    neg = mul[field.p - 1]  # negation is the product by -1, whose index is p - 1
     group = sl2_group(field)
     letters = w.letters
     # the inverse of [a b; c d] with determinant 1 is [d -b; -c a]
@@ -353,7 +353,7 @@ def trace_scan(w: Word, field: FieldSpec, budget: int | None = None) -> ImageRep
         for _ in range(max_deg):
             row.append(mul[row[-1]][e])
         pows.append(row)
-    neg = [row.index(0) for row in add]
+    neg = mul[p - 1]  # negation is the product by -1, whose index is p - 1
     frob = list(range(q))  # x -> x^p, the identity on F_p
     if n > 1:
         for e in range(q):

@@ -29,7 +29,6 @@ import functools
 import itertools
 from typing import Iterator, Mapping
 
-from .arith import kpm
 from .words import Shape, Word, family_word, y1, yk
 
 Monomial = tuple[int, int, int]
@@ -358,11 +357,6 @@ def cyclotomic_certificate(k_pm: int) -> tuple[str, str, bool]:
     return lhs, rhs, identity == TracePolynomial({(j, 0, 0): (-1) ** j for j in range(m)})
 
 
-def cyclotomic_root_check(k_pm: int) -> bool:
-    """The verdict of cyclotomic_certificate(k_pm)."""
-    return cyclotomic_certificate(k_pm)[2]
-
-
 _X1SQ = Word((1, 1))
 _X1NEGSQ = ~_X1SQ
 
@@ -383,7 +377,7 @@ def factorization_sum_form(k: int, which: Shape, inner_sign: int = 1) -> TracePo
     the bracket is the empty sum plus (-1)^0 = 1."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    bracket = alternating_dickson_sum(kpm(k, which)).evaluate(tau(y1(inner_sign)), T, U)
+    bracket = alternating_dickson_sum(which.kpm(k)).evaluate(tau(y1(inner_sign)), T, U)
     return (S * S - 2) * bracket
 
 

@@ -9,13 +9,17 @@ families
     x1^(+2) * y_k,   x1^(-2) * y_k,   x1^(+2) * y_(-k),
 
 where y_1 = x1^2 x2 x1^(±2) x2^-1 and y_k is its k-th power, and decides
-whether a word is a proper power of a shorter word.
+whether a word is a proper power of a shorter word.  It owns the word
+language: the word grammar (parse_word, WORD_HELP), the family
+mini-syntax (parse_family) and the effective index of a shape
+(Shape.kpm).
 """
 
 from __future__ import annotations
 
 import enum
 import random
+import re
 from typing import Iterable, Iterator
 
 ALPHABET = (1, -1, 2, -2)
@@ -128,95 +132,17 @@ class WordSyntaxError(ValueError):
         self.position = position
 
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    tokens: list[tuple[str, object, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch == "x":
-            if i + 1 < len(text) and text[i + 1] in "12":
-                tokens.append(("gen", int(text[i + 1]), i))
-                i += 2
-            else:
-                raise WordSyntaxError("expected 'x1' or 'x2'", i)
-        elif ch in "()[],^":
-            tokens.append((ch, ch, i))
-            i += 1
-        elif ch in "+-0123456789":
-            j = i + 1 if ch in "+-" else i
-            k = j
-            while k < len(text) and text[k].isdigit():
-                k += 1
-            if k == j:
-                raise WordSyntaxError("expected digits in exponent", i)
-            tokens.append(("int", int(text[i:k]), i))
-            i = k
-        else:
-            raise WordSyntaxError(f"unexpected character {ch!r}", i)
-    return tokens
+WORD_HELP = (
+    "word grammar: word := term+ ; term := factor ('^' integer)? ; "
+    "factor := 'x1' | 'x2' | '(' word ')' | '[' word ',' word ']'. "
+    "Whitespace is ignored; the commutator convention is [a,b] = a^-1 b^-1 a b; "
+    "exponent 0 expands to the empty word."
+)
 
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, object, int]], end: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.end = end
-
-    def peek(self) -> tuple[str, object, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> tuple[str, object, int]:
-        tok = self.peek()
-        if tok is None:
-            raise WordSyntaxError("unexpected end of input", self.end)
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, object, int]:
-        tok = self.take()
-        if tok[0] != kind:
-            raise WordSyntaxError(f"expected {kind!r}", tok[2])
-        return tok
-
-    def parse_word(self, stops: tuple[str, ...]) -> Word:
-        out = Word()
-        saw_term = False
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] in stops:
-                if not saw_term:
-                    pos = tok[2] if tok is not None else self.end
-                    raise WordSyntaxError("expected a term", pos)
-                return out
-            out = out * self.parse_term()
-            saw_term = True
-
-    def parse_term(self) -> Word:
-        base = self.parse_factor()
-        tok = self.peek()
-        if tok is not None and tok[0] == "^":
-            self.take()
-            _, n, _ = self.expect("int")
-            return base ** n
-        return base
-
-    def parse_factor(self) -> Word:
-        kind, value, pos = self.take()
-        if kind == "gen":
-            return Word((value,))
-        if kind == "(":
-            inner = self.parse_word((")",))
-            self.expect(")")
-            return inner
-        if kind == "[":
-            left = self.parse_word((",",))
-            self.expect(",")
-            right = self.parse_word(("]",))
-            self.expect("]")
-            return commutator(left, right)
-        raise WordSyntaxError(f"unexpected token {value!r}", pos)
+# One alternative per token kind; exponents are ASCII digits only.
+_TOKEN = re.compile(
+    r"x(?P<gen>[12])|(?P<int>[+-]?[0-9]+)|(?P<punct>[()\[\],^])|\s+|(?P<stray>.)", re.S
+)
 
 
 def parse_word(text: str) -> Word:
@@ -224,21 +150,71 @@ def parse_word(text: str) -> Word:
 
     Grammar: ``word := term+``, ``term := factor ('^' integer)?``,
     ``factor := 'x1' | 'x2' | '(' word ')' | '[' word ',' word ']'``.
-    Whitespace is ignored, ``[a, b]`` is the commutator a^-1 b^-1 a b,
-    exponent 0 expands to the empty word, and blank input parses to the
-    empty word.
+    Whitespace is ignored, an integer is an optional sign and ASCII
+    digits, ``[a, b]`` is the commutator a^-1 b^-1 a b, exponent 0
+    expands to the empty word, and blank input parses to the empty
+    word.  Groups nest to any depth: the open ones are kept on a
+    list, not on the call stack.
 
     >>> str(parse_word("[x1^-2, x2^-1]"))
     'x1^2 x2 x1^-2 x2^-1'
     >>> parse_word("x1 x1^-1").is_identity()
     True
     """
-    tokens = _tokenize(text)
+    tokens: list[tuple[str, object, int]] = []  # (kind, value, position)
+    for m in _TOKEN.finditer(text):
+        kind, pos = m.lastgroup, m.start()
+        if kind == "stray":
+            if m[0] == "x":
+                raise WordSyntaxError("expected 'x1' or 'x2'", pos)
+            if m[0] in "+-":
+                raise WordSyntaxError("expected digits in exponent", pos)
+            raise WordSyntaxError(f"unexpected character {m[0]!r}", pos)
+        if kind == "punct":
+            tokens.append((m[0], m[0], pos))
+        elif kind:  # "gen" or "int"; whitespace has no kind
+            tokens.append((kind, int(m[kind]), pos))
     if not tokens:
         return Word()
-    parser = _Parser(tokens, len(text))
-    out = parser.parse_word(())
-    return out
+    tokens.append(("end", None, len(text)))
+    # The word being read is `out` (None until its first term) and ends at
+    # `closer`; each open group pushes the enclosing (out, closer, left),
+    # where `left` is the finished left side of a commutator.
+    groups: list[tuple[Word | None, str, Word | None]] = []
+    out, closer, left = None, "end", None
+    i = 0
+    while True:
+        kind, value, pos = tokens[i]
+        i += 1
+        if kind in (closer, "end"):
+            if out is None:
+                raise WordSyntaxError("expected a term", pos)
+            if kind != closer:
+                raise WordSyntaxError("unexpected end of input", pos)
+            if not groups:
+                return out
+            if kind == ",":
+                left, out, closer = out, None, "]"
+                continue
+            factor = commutator(left, out) if kind == "]" else out
+            out, closer, left = groups.pop()
+        elif kind in ("(", "["):
+            groups.append((out, closer, left))
+            out, closer, left = None, ")" if kind == "(" else ",", None
+            continue
+        elif kind == "gen":
+            factor = Word((value,))
+        else:
+            raise WordSyntaxError(f"unexpected token {value!r}", pos)
+        if tokens[i][0] == "^":
+            kind, value, pos = tokens[i + 1]
+            if kind != "int":
+                raise WordSyntaxError(
+                    "unexpected end of input" if kind == "end" else "expected 'int'", pos
+                )
+            factor **= value
+            i += 2
+        out = factor if out is None else out * factor
 
 
 class Shape(enum.Enum):
@@ -255,6 +231,29 @@ class Shape(enum.Enum):
     @property
     def k_sign(self) -> int:
         return -1 if self is Shape.X2_YNEGK else 1
+
+    def kpm(self, k: int) -> int:
+        """Effective index: k for the x1^2 y_k shape, k - 1 for the two
+        shapes whose trace agrees with x1^(-2) y_k (including x1^2 y_(-k))."""
+        return k if self is Shape.X2_YK else k - 1
+
+
+_FAMILY = re.compile(
+    rf"\s*({'|'.join(shape.value for shape in Shape)})\s*:\s*([+-])\s*,\s*k\s*=\s*(\d+)\s*"
+)
+
+
+def parse_family(text: str) -> tuple[Shape, int, int]:
+    """(shape, inner sign, k) from the family mini-syntax 'SHAPE:SIGN,k=K',
+    e.g. 'x2yk:+,k=2'; whitespace around each part is ignored.
+
+    >>> parse_family(" xneg2yk : - , k = 3 ")
+    (<Shape.XNEG2_YK: 'xneg2yk'>, -1, 3)
+    """
+    m = _FAMILY.fullmatch(text)
+    if not m:
+        raise ValueError(f"bad family {text!r}; expected e.g. 'x2yk:+,k=2' (see --help)")
+    return Shape(m[1]), 1 if m[2] == "+" else -1, int(m[3])
 
 
 def y1(inner_sign: int = 1) -> Word:
@@ -325,12 +324,17 @@ def random_reduced_word(rng: random.Random, max_len: int = 12) -> Word:
     return Word(letters)
 
 
-def standard_corpus(seed: int = 20250809, random_count: int = 10) -> list[Word]:
+CORPUS_SEED = 20250809
+CORPUS_RANDOM_COUNT = 10
+
+
+def standard_corpus() -> list[Word]:
     """The fixed word corpus replayed by the cross-validation suites.
 
     Contains the empty word, the generators, the commutator, y_k for
-    k <= 4 in both variants, every family word with k <= 4, and a seeded
-    batch of random reduced words of length <= 12.
+    k <= 4 in both variants, every family word with k <= 4, and
+    CORPUS_RANDOM_COUNT random reduced words of length <= 12 drawn from
+    a generator seeded with CORPUS_SEED.
     """
     x1, x2 = Word((1,)), Word((2,))
     out = [Word(), x1, x2, commutator(x1, x2)]
@@ -341,8 +345,8 @@ def standard_corpus(seed: int = 20250809, random_count: int = 10) -> list[Word]:
         for inner in (1, -1):
             for k in range(1, 5):
                 out.append(family_word(which, inner, k))
-    rng = random.Random(seed)
-    for _ in range(random_count):
+    rng = random.Random(CORPUS_SEED)
+    for _ in range(CORPUS_RANDOM_COUNT):
         out.append(random_reduced_word(rng))
     seen: set[tuple[int, ...]] = set()
     uniq = []

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from wordmaps.arith import check_nonsurjectivity_conditions, scan_primes, length_residues
 from wordmaps.gf import enumerate_image_pairs, make_field, sl2_group, trace_scan
-from wordmaps.tracepoly import cyclotomic_root_check, factorization_certificate, swap_certificate, tau
+from wordmaps.tracepoly import cyclotomic_certificate, factorization_certificate, swap_certificate, tau
 from wordmaps.words import Shape, Word, family_word, parse_word, standard_corpus
 from util import Mat2, eval_word, oracle_proper_power, reduced_letter_tuples
 
@@ -41,7 +41,7 @@ def test_criterion_2_factorization_and_cyclotomic():
             for inner in (1, -1):
                 assert factorization_certificate(k, which, inner)[2], (k, which, inner)
     for k_pm in range(1, 9):
-        assert cyclotomic_root_check(k_pm), k_pm
+        assert cyclotomic_certificate(k_pm)[2], k_pm
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"factorization verification took {elapsed:.1f}s"
     _report(2, f"48 factorization checks + 8 root checks, all exact, {elapsed:.2f}s")

@@ -12,14 +12,13 @@ from wordmaps.arith import (
     inertia_degree,
     is_prime,
     is_square_mod,
-    kpm,
     length_residues,
     necessary_congruence,
     odd_prime_power,
     primes_up_to,
     scan_primes,
 )
-from wordmaps.words import Shape
+from wordmaps.words import Shape, family_word
 from util import multiplicative_order
 
 
@@ -163,10 +162,10 @@ def test_congruence_failure_forces_inertia_one():
 
 
 def test_kpm():
-    assert kpm(2, Shape.X2_YK) == 2
-    assert kpm(1, Shape.XNEG2_YK) == 0
-    assert kpm(5, Shape.XNEG2_YK) == 4
-    assert kpm(3, Shape.X2_YNEGK) == 2
+    assert Shape.X2_YK.kpm(2) == 2
+    assert Shape.XNEG2_YK.kpm(1) == 0
+    assert Shape.XNEG2_YK.kpm(5) == 4
+    assert Shape.X2_YNEGK.kpm(3) == 2
 
 
 # -- condition reports --
@@ -302,6 +301,26 @@ def test_length_residue_union_mod_18():
     for family in (Shape.X2_YK, Shape.XNEG2_YK):
         union |= length_residues(family, 1000)[1]
     assert union == {2, 4, 14, 16}  # +-2, +-4 mod 18
+
+
+def test_length_residues_come_from_admissible_k():
+    for family in Shape:
+        for length in length_residues(family, 301)[0]:
+            k = (length - 2 * family.outer_sign) // 6
+            assert len(family_word(family, 1, k)) == length
+            assert family.kpm(k) >= 1 and necessary_congruence(family.kpm(k)), (family, length)
+    # x1^2 y_(-k) has k_pm = k - 1: k = 2 (length 14, k_pm = 1) is out
+    assert length_residues(Shape.X2_YNEGK, 40)[0][:3] == [20, 26, 38]  # k = 3, 4, 6
+
+
+def test_length_residues_keep_the_rules_3r_minus_1_and_3r_minus_5():
+    for r_max in range(7, 200):
+        assert length_residues(Shape.X2_YK, r_max)[0] == [
+            3 * r - 1 for r in range(5, r_max + 1, 2) if r % 3 != 0
+        ]
+        assert length_residues(Shape.XNEG2_YK, r_max)[0] == [
+            3 * r - 5 for r in range(7, r_max + 1, 2) if (r + 1) % 3 != 0
+        ]
 
 
 def test_length_residues_validation():

@@ -52,6 +52,20 @@ def test_trace_syntax_error_exit_2_with_position(capsys):
     assert "position 3" in err
 
 
+def test_trace_deep_nesting(capsys):
+    # 5,000 groups parse: the parser keeps open groups on a list, not the call stack
+    code, out, _ = run(capsys, "trace", "(" * 5000 + "x1" + ")" * 5000)
+    assert (code, out) == (0, "s\n")
+    code, out, err = run(capsys, "trace", "(" * 5000 + "x1" + ")" * 4999)
+    assert (code, out, err) == (2, "", "error: syntax error: unexpected end of input (position 10001)\n")
+
+
+def test_trace_superscript_exponent_digit_is_syntax_error(capsys):
+    # exponents are ASCII digits; int() would read "2\u00b2" as a bare ValueError
+    code, _, err = run(capsys, "trace", "x1^2\u00b2")
+    assert (code, err) == (2, "error: syntax error: unexpected character '\u00b2' (position 4)\n")
+
+
 # -- verify --
 
 def test_verify_swap_emits_34_true_certificates(capsys):

@@ -75,9 +75,10 @@ def test_moduli_are_irreducible_no_roots():
 
 # -- field tables --
 
-@pytest.mark.parametrize(
-    "p,n", [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3), (5, 2), (7, 2), (3, 4), (11, 1), (5, 3)]
-)
+TABLE_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3), (5, 2), (7, 2), (3, 4), (11, 1), (5, 3)]
+
+
+@pytest.mark.parametrize("p,n", TABLE_FIELDS)
 def test_field_tables_match_oracle_exhaustive(p, n):
     field = make_field(p, n)
     add, mul = field_tables(field)
@@ -86,6 +87,15 @@ def test_field_tables_match_oracle_exhaustive(p, n):
         for b, y in enumerate(elems):
             assert add[a][b] == (x + y).index, (a, b)
             assert mul[a][b] == (x * y).index, (a, b)
+
+
+@pytest.mark.parametrize("p,n", TABLE_FIELDS)
+def test_negation_is_the_row_of_minus_one(p, n):
+    # the kernels take -x from mul[p - 1]: -1 is the integer p - 1, its own index
+    field = make_field(p, n)
+    add, mul = field_tables(field)
+    assert mul[p - 1] == tuple(row.index(0) for row in add)
+    assert [(-x).index for x in field_elements(field)] == list(mul[p - 1])
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2), (3, 3)])

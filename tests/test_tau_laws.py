@@ -1,13 +1,12 @@
 """Property tests of the laws every trace polynomial obeys, on words drawn
-by hypothesis.  `derandomize=True` and no example database make every run
-draw the same words; the example count and word length keep it short."""
+by hypothesis with the LAWS settings of util: every run draws the same
+words, and the example count and word length keep it short."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from wordmaps.tracepoly import S, TracePolynomial, tau
 from wordmaps.words import Word
-
-LAWS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+from util import LAWS
 
 words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=16).map(Word)
 X1 = Word((1,))

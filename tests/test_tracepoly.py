@@ -13,7 +13,6 @@ from wordmaps.tracepoly import (
     U,
     alternating_dickson_sum,
     cyclotomic_certificate,
-    cyclotomic_root_check,
     dickson,
     factorization_certificate,
     factorization_sum_form,
@@ -260,7 +259,7 @@ def test_alternating_sum_k2():
 def test_root_check_k1():
     # -(zeta_3 + zeta_3^-1) = 1 is a root of T - 1
     assert alternating_dickson_sum(1).evaluate(1, 0, 0) == 0
-    assert cyclotomic_root_check(1)
+    assert cyclotomic_certificate(1)[2]
 
 
 def test_root_check_k2_exact_arithmetic():
@@ -268,12 +267,12 @@ def test_root_check_k2_exact_arithmetic():
     x = S
     lhs = sum(c * (x * x + 1) ** j * x ** (2 - j) for (j, _, _), c in alternating_dickson_sum(2).terms.items())
     assert lhs == x**4 - x**3 + x**2 - x + 1
-    assert cyclotomic_root_check(2)
+    assert cyclotomic_certificate(2)[2]
 
 
 def test_root_check_range():
     for k_pm in range(1, 31):
-        assert cyclotomic_root_check(k_pm), k_pm
+        assert cyclotomic_certificate(k_pm)[2], k_pm
 
 
 def test_root_check_float_oracle():
@@ -323,13 +322,13 @@ def test_root_check_rejects_perturbed_sum(monkeypatch, perturb):
         tracepoly, "alternating_dickson_sum", lambda n: perturb(original(n), n)
     )
     for k in range(1, 6):
-        assert not cyclotomic_root_check(k), k
+        assert not cyclotomic_certificate(k)[2], k
 
 
 def test_root_check_detects_wrong_polynomial(monkeypatch):
     # T + 1 is monic of degree 1 but does not vanish at -(zeta_3+zeta_3^-1) = 1
     monkeypatch.setattr(tracepoly, "alternating_dickson_sum", lambda n: S + 1)
-    assert not cyclotomic_root_check(1)
+    assert not cyclotomic_certificate(1)[2]
 
 
 @pytest.mark.parametrize("extra", [T, U, S * T], ids=["t", "u", "s*t"])
@@ -340,7 +339,7 @@ def test_root_check_rejects_terms_in_t_or_u(monkeypatch, extra):
         tracepoly, "alternating_dickson_sum", lambda n: original(n) + extra
     )
     for k in range(1, 4):
-        assert not cyclotomic_root_check(k), k
+        assert not cyclotomic_certificate(k)[2], k
 
 
 # -- rendering --

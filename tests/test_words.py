@@ -1,9 +1,8 @@
-import doctest
-import random
+import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
-import wordmaps.words
 from wordmaps.words import (
     ALPHABET,
     Shape,
@@ -13,6 +12,7 @@ from wordmaps.words import (
     cyclic_reduce,
     family_word,
     is_proper_power,
+    parse_family,
     parse_word,
     random_reduced_word,
     render,
@@ -20,12 +20,7 @@ from wordmaps.words import (
     y1,
     yk,
 )
-from util import oracle_proper_power, reduced_letter_tuples
-
-
-def test_module_doctests():
-    failures, _ = doctest.testmod(wordmaps.words)
-    assert failures == 0
+from util import LAWS, oracle_parse_word, oracle_proper_power, reduced_letter_tuples
 
 
 # -- parsing --
@@ -68,12 +63,74 @@ def test_parse_blank_is_empty():
         ("[x1 x2]", 6),
         ("x1^2^3", 4),
         ("()", 1),
+        ("x1^2\u0663", 4),  # exponents are ASCII digits only
+        ("x1^\u0663", 3),
+        ("x1^2\u00b2", 4),
     ],
 )
 def test_parse_errors_carry_position(text, position):
     with pytest.raises(WordSyntaxError) as err:
         parse_word(text)
     assert err.value.position == position
+
+
+def test_parse_deep_nesting():
+    # groups are kept on a list, so depth is bounded by the text alone
+    assert parse_word("(" * 5000 + "x1" + ")" * 5000).letters == (1,)
+    assert parse_word("[" * 2000 + "x1, x1]" + ", x2]" * 1999).is_identity()
+    assert parse_word("(" * 3000 + "[x1, x2]" + ")^-1" * 3000) == parse_word("[x1, x2]")
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word("(" * 5000 + "x1" + ")" * 4999)
+    assert (str(err.value), err.value.position) == ("unexpected end of input (position 10001)", 10001)
+
+
+# Tokens of the grammar, malformed tokens and stray characters, all ASCII.
+_PIECES = st.sampled_from(
+    ("x1", "x2", "x", "x3", "(", ")", "[", "]", ",", "^", "+", "-", "0", "1", "2", "3",
+     "12", "-1", "+2", "^-1", " ", "\t", "\n", "%", "y")
+)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text).letters
+    except WordSyntaxError as err:
+        return str(err), err.position
+
+
+@LAWS
+@given(st.lists(_PIECES, max_size=24).map("".join))
+def test_parse_matches_oracle_parser(text):
+    assert _outcome(parse_word, text) == _outcome(oracle_parse_word, text)
+
+
+def test_parse_matches_oracle_on_short_texts():
+    # every text of up to 4 characters over the grammar's alphabet
+    for n in range(5):
+        for chars in itertools.product("x12()[],^- ", repeat=n):
+            text = "".join(chars)
+            assert _outcome(parse_word, text) == _outcome(oracle_parse_word, text), text
+
+
+# -- family syntax --
+
+@pytest.mark.parametrize("shape", list(Shape))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_parse_family_round_trip(shape, sign):
+    mark = "+" if sign > 0 else "-"
+    for k in (0, 1, 2, 3, 12, 100):
+        assert parse_family(f"{shape.value}:{mark},k={k}") == (shape, sign, k)
+        assert parse_family(f" {shape.value} : {mark} , k = {k} ") == (shape, sign, k)
+
+
+@pytest.mark.parametrize(
+    "text", ["", "zk:2", "x2yk", "x2yk:+", "x2yk:*,k=2", "x2yk:+,k=-2", "x2yk:+,k=", "X2YK:+,k=2",
+             "x2yk:+;k=2", "x2yk:+,k=2,", "x2y:+,k=2"]
+)
+def test_parse_family_rejects(text):
+    with pytest.raises(ValueError) as err:
+        parse_family(text)
+    assert str(err.value) == f"bad family {text!r}; expected e.g. 'x2yk:+,k=2' (see --help)"
 
 
 # -- free reduction --

@@ -1,5 +1,7 @@
-"""Shared helpers: integer 2x2 matrix arithmetic (exact, for oracle checks
-against the symbolic trace machinery), the letter walk of tau on
+"""Shared helpers: the hypothesis settings of the property tests, the
+tokenizer and recursive-descent parser of word text (the oracle for
+wordmaps.words.parse_word), integer 2x2 matrix arithmetic (exact, for
+oracle checks against the symbolic trace machinery), the letter walk of tau on
 TracePolynomial arithmetic (the oracle for the packed walk of
 wordmaps.tracepoly), an F_q element and SL2(F_q) matrix type (the oracle
 for the field tables and kernels of wordmaps.gf), the plain trace scan
@@ -12,9 +14,118 @@ import math
 import random
 from typing import Iterator
 
+from hypothesis import settings
+
 from wordmaps.gf import FieldSpec, ImageReport, check_budget, field_tables
 from wordmaps.tracepoly import S, T, U, TracePolynomial, tau
-from wordmaps.words import ALPHABET, Word
+from wordmaps.words import ALPHABET, Word, WordSyntaxError, commutator
+
+# `derandomize=True` and no example database make every run draw the same
+# examples; the example count keeps the property tests short.
+LAWS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+
+def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    tokens: list[tuple[str, object, int]] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch == "x":
+            if i + 1 < len(text) and text[i + 1] in "12":
+                tokens.append(("gen", int(text[i + 1]), i))
+                i += 2
+            else:
+                raise WordSyntaxError("expected 'x1' or 'x2'", i)
+        elif ch in "()[],^":
+            tokens.append((ch, ch, i))
+            i += 1
+        elif ch in "+-0123456789":
+            j = i + 1 if ch in "+-" else i
+            k = j
+            while k < len(text) and text[k].isdigit():
+                k += 1
+            if k == j:
+                raise WordSyntaxError("expected digits in exponent", i)
+            tokens.append(("int", int(text[i:k]), i))
+            i = k
+        else:
+            raise WordSyntaxError(f"unexpected character {ch!r}", i)
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[tuple[str, object, int]], end: int):
+        self.tokens = tokens
+        self.pos = 0
+        self.end = end
+
+    def peek(self) -> tuple[str, object, int] | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self) -> tuple[str, object, int]:
+        tok = self.peek()
+        if tok is None:
+            raise WordSyntaxError("unexpected end of input", self.end)
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> tuple[str, object, int]:
+        tok = self.take()
+        if tok[0] != kind:
+            raise WordSyntaxError(f"expected {kind!r}", tok[2])
+        return tok
+
+    def parse_word(self, stops: tuple[str, ...]) -> Word:
+        out = Word()
+        saw_term = False
+        while True:
+            tok = self.peek()
+            if tok is None or tok[0] in stops:
+                if not saw_term:
+                    pos = tok[2] if tok is not None else self.end
+                    raise WordSyntaxError("expected a term", pos)
+                return out
+            out = out * self.parse_term()
+            saw_term = True
+
+    def parse_term(self) -> Word:
+        base = self.parse_factor()
+        tok = self.peek()
+        if tok is not None and tok[0] == "^":
+            self.take()
+            _, n, _ = self.expect("int")
+            return base ** n
+        return base
+
+    def parse_factor(self) -> Word:
+        kind, value, pos = self.take()
+        if kind == "gen":
+            return Word((value,))
+        if kind == "(":
+            inner = self.parse_word((")",))
+            self.expect(")")
+            return inner
+        if kind == "[":
+            left = self.parse_word((",",))
+            self.expect(",")
+            right = self.parse_word(("]",))
+            self.expect("]")
+            return commutator(left, right)
+        raise WordSyntaxError(f"unexpected token {value!r}", pos)
+
+
+def oracle_parse_word(text: str) -> Word:
+    """Word text parsed by a separate tokenizer and one method per grammar
+    rule, recursing once per nesting level (so deep input exhausts the
+    call stack).  Its exponent digits are tested with str.isdigit, so
+    unlike parse_word it reads non-ASCII digits; on ASCII text the two
+    agree on every word and every error message and position."""
+    tokens = _tokenize(text)
+    if not tokens:
+        return Word()
+    return _Parser(tokens, len(text)).parse_word(())
 
 IntMat = tuple[tuple[int, int], tuple[int, int]]
 
