@@ -5,7 +5,7 @@ admissible word-length residues mod 18."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .words import Shape
@@ -157,18 +157,9 @@ class ConditionReport:
         return self.cond1 and self.cond2 and self.cond3
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "k": self.k,
-            "shape": self.shape.value,
-            "k_pm": self.k_pm,
-            "cond1": self.cond1,
-            "cond2": self.cond2,
-            "cond3": self.cond3,
-            "inertia_degrees": list(self.inertia_degrees),
-            "verdict": self.verdict,
-        }
+        # the overrides keep their keys' places, so the order is the fields'
+        return {**asdict(self), "shape": self.shape.value,
+                "inertia_degrees": list(self.inertia_degrees), "verdict": self.verdict}
 
 
 def check_nonsurjectivity_conditions(
@@ -216,15 +207,19 @@ def _fraction_decimal(fr: Fraction, places: int = 6) -> str:
 
 @dataclass(frozen=True)
 class DensityReport:
-    """Exact counts and the three densities for a prime scan."""
+    """Exact counts and the three densities for a prime scan; a scan covers
+    p_max >= 3, so total_prime_count >= 2."""
 
     k_pm: int
     x: int
     matching_prime_count: int
     total_prime_count: int
-    empirical_density: Fraction
     printed_density: Fraction
     dirichlet_density: Fraction
+
+    @property
+    def empirical_density(self) -> Fraction:
+        return Fraction(self.matching_prime_count, self.total_prime_count)
 
     def to_dict(self) -> dict:
         out = {
@@ -284,13 +279,11 @@ def scan_primes(k_pm: int, p_max: int) -> tuple[list[int], DensityReport]:
     for ell in filter(is_prime, divisors(m)):
         printed *= 1 - Fraction(3, ell)
         dirichlet *= Fraction(ell - 3, ell - 1)
-    total = len(primes)
     report = DensityReport(
         k_pm=k_pm,
         x=p_max,
         matching_prime_count=len(kept),
-        total_prime_count=total,
-        empirical_density=Fraction(len(kept), total) if total else Fraction(0),
+        total_prime_count=len(primes),
         printed_density=printed,
         dirichlet_density=dirichlet,
     )

@@ -121,11 +121,10 @@ def cmd_conditions(args) -> Result:
 def cmd_image(args) -> Result:
     # The budget is checked from q alone, before q is factored or the
     # field is built: both take far longer than the check for a large q.
-    budget = args.budget
     if args.q is not None:
         if args.p is not None or args.n is not None:
             raise ValueError("give --q or --p and --n, not both")
-        gf.check_budget(args.method, args.q, budget)
+        gf.check_budget(args.method, args.q, args.budget)
         p, n = arith.odd_prime_power(args.q)
     else:
         if args.p is None or args.n is None:
@@ -134,7 +133,7 @@ def cmd_image(args) -> Result:
         if p > 2 and n > 0:  # make_field rejects the rest
             # p^n > 2^n is over the budget once n passes its bit length:
             # the exponent is capped there, so an absurd n is never formed
-            gf.check_budget(args.method, p ** min(n, budget.bit_length() + 1), budget)
+            gf.check_budget(args.method, p ** min(n, args.budget.bit_length() + 1), args.budget)
     field = gf.make_field(p, n)
     if args.family is not None:
         shape, sign, k = words.parse_family(args.family)
@@ -142,7 +141,7 @@ def cmd_image(args) -> Result:
     else:
         w = words.parse_word(args.word)
     runner = gf.enumerate_image_pairs if args.method == "pairs" else gf.trace_scan
-    report = runner(w, field, budget=budget)
+    report = runner(w, field, budget=args.budget)
     record = report.to_dict()
     code = 0
     if args.family is not None and not report.misses_involutions:
@@ -291,7 +290,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except arith.CongruenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, gf.BudgetExceededError) as exc:
+    except ValueError as exc:
         kind = "syntax error: " if isinstance(exc, words.WordSyntaxError) else ""
         print(f"error: {kind}{exc}", file=sys.stderr)
         return 2

@@ -26,17 +26,16 @@ from .words import Word
 DEFAULT_BUDGET = 10**8
 
 
-class BudgetExceededError(Exception):
+class BudgetExceededError(ValueError):
     """An enumeration would exceed its evaluation budget."""
 
 
-def check_budget(method: str, q: int, budget: int | None = None) -> int:
+def check_budget(method: str, q: int, budget: int = DEFAULT_BUDGET) -> int:
     """The number of evaluations an image method makes over F_q: every pair
     of SL2(F_q)^2, (q(q^2-1))^2, for "pairs", every triple of F_q^3, q^3,
     for "scan".  Raises BudgetExceededError when it is over the budget
     (default 10^8).  Needs q alone, so it can run before q is factored or
     the field is built."""
-    budget = DEFAULT_BUDGET if budget is None else budget
     total = (q * (q * q - 1)) ** 2 if method == "pairs" else q**3
     if total > budget:
         what, hint = (
@@ -245,7 +244,8 @@ class ImageReport:
     """Verdict of an image enumeration or trace-surface scan.
 
     `image_traces` holds the attained traces as field indices (see
-    field_tables), so 0 is the trace of an involution.  `count` is the
+    field_tables), so 0 is the trace of an involution, and
+    `misses_involutions` says that 0 is not among them.  `count` is the
     number of pair evaluations (pairs method) or the q^3 trace triples
     the scan covers (scan method); `surjective` is only meaningful for the
     pairs method and stays None for the scan, whose traces are exactly
@@ -257,9 +257,12 @@ class ImageReport:
     word: str
     method: str
     image_traces: frozenset[int]
-    misses_involutions: bool
     surjective: bool | None
     count: int
+
+    @property
+    def misses_involutions(self) -> bool:
+        return 0 not in self.image_traces
 
     def to_dict(self) -> dict:
         return {
@@ -276,7 +279,7 @@ class ImageReport:
         }
 
 
-def enumerate_image_pairs(w: Word, field: FieldSpec, budget: int | None = None) -> ImageReport:
+def enumerate_image_pairs(w: Word, field: FieldSpec, budget: int = DEFAULT_BUDGET) -> ImageReport:
     """Evaluate w on every pair in SL2(F_q)^2 and collect the image in
     PSL2(F_q), keying each matrix m by min(m, -m) (w(±x, ±y) differs from
     w(x, y) by a sign only).
@@ -313,13 +316,12 @@ def enumerate_image_pairs(w: Word, field: FieldSpec, budget: int | None = None) 
         word=str(w),
         method="pairs",
         image_traces=frozenset(traces),
-        misses_involutions=0 not in traces,
         surjective=len(images) == psl2_order(field.q),
         count=total,
     )
 
 
-def trace_scan(w: Word, field: FieldSpec, budget: int | None = None) -> ImageReport:
+def trace_scan(w: Word, field: FieldSpec, budget: int = DEFAULT_BUDGET) -> ImageReport:
     """Evaluate tau(w) over F_q^3 and report the attained values.
 
     Every triple of F_q^3 is (tr x, tr y, tr xy) for some pair x, y in
@@ -330,13 +332,13 @@ def trace_scan(w: Word, field: FieldSpec, budget: int | None = None) -> ImageRep
 
     The scan takes one (s, t) row, with every u, per orbit of three
     symmetries of the reduced polynomial P, and marks the orbit's rows:
-    - (s, u) -> (-s, -u) multiplies P by (-1)^(a+c) when every term
-      s^a t^b u^c of P has the same parity of a + c;
-    - (t, u) -> (-t, -u) likewise with b + c;
+    - (s, u) -> (-s, -u) multiplies P by (-1)^e1, with e1 the exponent
+      sum of x1 in w, as w(-x, y) = (-1)^e1 w(x, y);
+    - (t, u) -> (-t, -u) likewise by (-1)^e2, with e2 that of x2;
     - x -> x^p maps each value v to v^p, as P has its coefficients in F_p.
     The attained set is kept closed under v -> v^p, and under v -> -v when
-    a sign in use is odd, so it equals the plain scan's; the scan stops
-    once it holds all q values.  `count` stays q^3, the budget count.
+    e1 or e2 is odd, so it equals the plain scan's; the scan stops once it
+    holds all q values.  `count` stays q^3, the budget count.
     """
     total = check_budget("scan", field.q, budget)
     add, mul = field_tables(field)
@@ -359,13 +361,8 @@ def trace_scan(w: Word, field: FieldSpec, budget: int | None = None) -> ImageRep
         for e in range(q):
             for _ in range(p - 1):
                 frob[e] = mul[frob[e]][e]
-    s_parities = {(a + c) & 1 for a, _, c, _ in terms}
-    t_parities = {(b + c) & 1 for _, b, c, _ in terms}
-    # a sign symmetry is in use only when every term has the same parity;
-    # s_twin[s] is the row partner of s under it, or s itself
-    s_twin = neg if len(s_parities) <= 1 else range(q)
-    t_twin = neg if len(t_parities) <= 1 else range(q)
-    negate = s_parities == {1} or t_parities == {1}
+    # an exponent sum is odd exactly when its generator's letter count is
+    negate = any(sum(abs(l) == g for l in w.letters) % 2 for g in (1, 2))
     scanned = bytearray(q * q)
     attained: set[int] = set()
     for st in range(q * q):
@@ -374,8 +371,8 @@ def trace_scan(w: Word, field: FieldSpec, budget: int | None = None) -> ImageRep
         s, t = divmod(st, q)
         sp, tp = pows[s], pows[t]
         for _ in range(n):
-            for s2 in (s, s_twin[s]):
-                for t2 in (t, t_twin[t]):
+            for s2 in (s, neg[s]):
+                for t2 in (t, neg[t]):
                     scanned[s2 * q + t2] = 1
             s, t = frob[s], frob[t]
         ucoeffs: dict[int, int] = {}
@@ -403,7 +400,6 @@ def trace_scan(w: Word, field: FieldSpec, budget: int | None = None) -> ImageRep
         word=str(w),
         method="scan",
         image_traces=frozenset(attained),
-        misses_involutions=0 not in attained,
         surjective=None,
         count=total,
     )

@@ -18,6 +18,7 @@ mini-syntax (parse_family) and the effective index of a shape
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 import re
 from typing import Iterable, Iterator
@@ -83,21 +84,6 @@ class Word:
     def is_identity(self) -> bool:
         return not self.letters
 
-    def syllables(self) -> list[tuple[int, int]]:
-        """Maximal runs as (generator, signed exponent) pairs.
-
-        Adjacent letters of one generator in a reduced word always share a
-        sign, so the run exponent is just sign * run length.
-        """
-        runs: list[tuple[int, int]] = []
-        for letter in self.letters:
-            gen, sign = abs(letter), (1 if letter > 0 else -1)
-            if runs and runs[-1][0] == gen:
-                runs[-1] = (gen, runs[-1][1] + sign)
-            else:
-                runs.append((gen, sign))
-        return runs
-
     def __str__(self) -> str:
         return render(self)
 
@@ -115,13 +101,14 @@ def render(w: Word) -> str:
 
     Exponent 1 is elided and terms are space-separated; the empty word
     renders as the empty string (which parses back to the empty word).
+    A reduced word never puts a letter beside its inverse, so each
+    syllable is a run of one letter.
 
     >>> render(parse_word("x1 x1 x1 x2^-1"))
     'x1^3 x2^-1'
     """
-    return " ".join(
-        f"x{gen}" if exp == 1 else f"x{gen}^{exp}" for gen, exp in w.syllables()
-    )
+    runs = [(abs(l), len(list(g)) * (1 if l > 0 else -1)) for l, g in itertools.groupby(w.letters)]
+    return " ".join(f"x{gen}" if exp == 1 else f"x{gen}^{exp}" for gen, exp in runs)
 
 
 class WordSyntaxError(ValueError):
@@ -173,14 +160,18 @@ def parse_word(text: str) -> Word:
         if kind == "punct":
             tokens.append((m[0], m[0], pos))
         elif kind:  # "gen" or "int"; whitespace has no kind
-            tokens.append((kind, int(m[kind]), pos))
+            try:
+                tokens.append((kind, int(m[kind]), pos))
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise WordSyntaxError("too many digits in exponent", pos) from None
     if not tokens:
         return Word()
     tokens.append(("end", None, len(text)))
-    # The word being read is `out` (None until its first term) and ends at
-    # `closer`; each open group pushes the enclosing (out, closer, left),
-    # where `left` is the finished left side of a commutator.
-    groups: list[tuple[Word | None, str, Word | None]] = []
+    # The letters of the word being read are `out` (None until its first
+    # term), reduced once when it ends at `closer`: reducing each product
+    # would re-reduce the prefix.  Each open group pushes the enclosing
+    # (out, closer, left), where `left` is the left side of a commutator.
+    groups: list[tuple[list[int] | None, str, Word | None]] = []
     out, closer, left = None, "end", None
     i = 0
     while True:
@@ -192,11 +183,11 @@ def parse_word(text: str) -> Word:
             if kind != closer:
                 raise WordSyntaxError("unexpected end of input", pos)
             if not groups:
-                return out
+                return Word(out)
             if kind == ",":
-                left, out, closer = out, None, "]"
+                left, out, closer = Word(out), None, "]"
                 continue
-            factor = commutator(left, out) if kind == "]" else out
+            factor = commutator(left, Word(out)) if kind == "]" else Word(out)
             out, closer, left = groups.pop()
         elif kind in ("(", "["):
             groups.append((out, closer, left))
@@ -214,7 +205,9 @@ def parse_word(text: str) -> Word:
                 )
             factor **= value
             i += 2
-        out = factor if out is None else out * factor
+        if out is None:
+            out = []
+        out += factor.letters
 
 
 class Shape(enum.Enum):
@@ -239,7 +232,7 @@ class Shape(enum.Enum):
 
 
 _FAMILY = re.compile(
-    rf"\s*({'|'.join(shape.value for shape in Shape)})\s*:\s*([+-])\s*,\s*k\s*=\s*(\d+)\s*"
+    rf"\s*({'|'.join(shape.value for shape in Shape)})\s*:\s*([+-])\s*,\s*k\s*=\s*([0-9]+)\s*"
 )
 
 
@@ -251,9 +244,12 @@ def parse_family(text: str) -> tuple[Shape, int, int]:
     (<Shape.XNEG2_YK: 'xneg2yk'>, -1, 3)
     """
     m = _FAMILY.fullmatch(text)
-    if not m:
-        raise ValueError(f"bad family {text!r}; expected e.g. 'x2yk:+,k=2' (see --help)")
-    return Shape(m[1]), 1 if m[2] == "+" else -1, int(m[3])
+    if m:
+        try:
+            return Shape(m[1]), 1 if m[2] == "+" else -1, int(m[3])
+        except ValueError:  # k past sys.get_int_max_str_digits()
+            pass
+    raise ValueError(f"bad family {text!r}; expected e.g. 'x2yk:+,k=2' (see --help)")
 
 
 def y1(inner_sign: int = 1) -> Word:
@@ -306,9 +302,7 @@ def is_proper_power(w: Word) -> tuple[bool, Word | None, int | None]:
     letters = core.letters
     n = len(letters)
     for d in range(1, n):
-        if n % d:
-            continue
-        if all(letters[i] == letters[i - d] for i in range(d, n)):
+        if n % d == 0 and letters[d:] == letters[:-d]:
             root = conj * Word(letters[:d]) * ~conj
             return True, root, n // d
     return False, None, None
@@ -348,10 +342,4 @@ def standard_corpus() -> list[Word]:
     rng = random.Random(CORPUS_SEED)
     for _ in range(CORPUS_RANDOM_COUNT):
         out.append(random_reduced_word(rng))
-    seen: set[tuple[int, ...]] = set()
-    uniq = []
-    for w in out:
-        if w.letters not in seen:
-            seen.add(w.letters)
-            uniq.append(w)
-    return uniq
+    return list(dict.fromkeys(out))

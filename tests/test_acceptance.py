@@ -8,7 +8,7 @@ from wordmaps.arith import check_nonsurjectivity_conditions, scan_primes, length
 from wordmaps.gf import enumerate_image_pairs, make_field, sl2_group, trace_scan
 from wordmaps.tracepoly import cyclotomic_certificate, factorization_certificate, swap_certificate, tau
 from wordmaps.words import Shape, Word, family_word, parse_word, standard_corpus
-from util import Mat2, eval_word, oracle_proper_power, reduced_letter_tuples
+from util import oracle_proper_power, reduced_letter_tuples, tau_sides
 
 import random
 
@@ -57,12 +57,11 @@ def test_criterion_3_tau_soundness_oracle():
         group = sl2_group(field)
         polys = [(w, tau(w)) for w in corpus]
         for _ in range(200):
-            x = Mat2.from_indices(field, rng.choice(group))
-            y = Mat2.from_indices(field, rng.choice(group))
-            s, t, u = x.trace(), y.trace(), (x * y).trace()
+            sides = tau_sides(field, rng.choice(group), rng.choice(group))
             for w, poly in polys:
                 checked += 1
-                if eval_word(w, x, y).trace() != poly.evaluate(s, t, u):
+                lhs, rhs = sides(w, poly)
+                if lhs != rhs:
                     failures += 1
     assert failures == 0
     _report(3, f"{checked} trace evaluations over F_5, F_7, F_9, F_13: 0 failures")

@@ -66,6 +66,12 @@ def test_trace_superscript_exponent_digit_is_syntax_error(capsys):
     assert (code, err) == (2, "error: syntax error: unexpected character '\u00b2' (position 4)\n")
 
 
+def test_trace_exponent_past_int_digit_limit_is_syntax_error(capsys):
+    # int() refuses more than sys.get_int_max_str_digits() digits (4,300 by default)
+    code, out, err = run(capsys, "trace", "x1^" + "1" * 5000)
+    assert (code, out, err) == (2, "", "error: syntax error: too many digits in exponent (position 3)\n")
+
+
 # -- verify --
 
 def test_verify_swap_emits_34_true_certificates(capsys):
@@ -248,6 +254,14 @@ def test_image_bad_family_syntax(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: bad family 'zk:2'; expected e.g. 'x2yk:+,k=2' (see --help)\n"
+
+
+@pytest.mark.parametrize("k", ["\u0663", "1" * 5000], ids=["non-ascii-digit", "past-int-digit-limit"])
+def test_image_bad_family_index(capsys, k):
+    family = f"x2yk:+,k={k}"
+    code, out, err = run(capsys, "image", "--q", "3", "--family", family, "--method", "pairs")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad family {family!r}; expected e.g. 'x2yk:+,k=2' (see --help)\n"
 
 
 def test_image_bad_q(capsys):

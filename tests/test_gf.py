@@ -3,8 +3,6 @@ import json
 
 import pytest
 
-import util
-from wordmaps import gf
 from wordmaps.arith import check_nonsurjectivity_conditions, odd_prime_power, RamifiedPrimeError
 from wordmaps.gf import (
     BudgetExceededError,
@@ -414,24 +412,6 @@ def test_scan_matches_plain_scan_with_odd_exponent_sums(p, n):
         sums = [sum((a > 0) - (a < 0) for a in w if abs(a) == g) for g in (1, 2)]
         assert any(e % 2 for e in sums), text
         assert trace_scan(w, field) == oracle_trace_scan(w, field), text
-
-
-@pytest.mark.parametrize("p,n", [(5, 1), (7, 1), (5, 2), (3, 3)])
-def test_scan_of_mixed_parity_terms_matches_plain_scan(p, n, monkeypatch):
-    # tau never mixes parities (test_tau_laws), so stand-in polynomials
-    # reach the kernel's guard: s^3 + s^2 mixes them in s, t^3 + t^2 in t,
-    # and s^2 t + t + s in both
-    field = make_field(p, n)
-    for terms in (
-        {(3, 0, 0): 1, (2, 0, 0): 1},
-        {(0, 3, 0): 1, (0, 2, 0): 1},
-        {(2, 1, 0): 1, (0, 1, 0): 1, (1, 0, 0): 1},
-    ):
-        poly = TracePolynomial(terms)
-        monkeypatch.setattr(gf, "tau", lambda w: poly)
-        monkeypatch.setattr(util, "tau", lambda w: poly)
-        w = parse_word("x1")
-        assert trace_scan(w, field) == oracle_trace_scan(w, field), terms
 
 
 # -- condition-passing instances reproduce the missing involutions --

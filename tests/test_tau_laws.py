@@ -63,7 +63,7 @@ def test_sign_of_x2_negates_t_and_u(w):
 @LAWS
 @given(words)
 def test_every_monomial_has_the_exponent_sum_parities(w):
-    # the parities trace_scan reads off the reduced terms
+    # why trace_scan may take its sign symmetries from the exponent sums
     e1, e2 = _exponent_sum(w, 1), _exponent_sum(w, 2)
     for a, b, c in tau(w).terms:
         assert (a + c - e1) % 2 == 0 and (b + c - e2) % 2 == 0, (a, b, c)

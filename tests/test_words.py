@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -66,6 +67,8 @@ def test_parse_blank_is_empty():
         ("x1^2\u0663", 4),  # exponents are ASCII digits only
         ("x1^\u0663", 3),
         ("x1^2\u00b2", 4),
+        # int() converts at most sys.get_int_max_str_digits() digits (4,300 by default)
+        pytest.param("x1 x2^" + "1" * 5000, 6, id="exponent-past-int-digit-limit"),
     ],
 )
 def test_parse_errors_carry_position(text, position):
@@ -82,6 +85,17 @@ def test_parse_deep_nesting():
     with pytest.raises(WordSyntaxError) as err:
         parse_word("(" * 5000 + "x1" + ")" * 4999)
     assert (str(err.value), err.value.position) == ("unexpected end of input (position 10001)", 10001)
+
+
+def test_parse_long_flat_word_in_linear_time():
+    # a group's letters are reduced once, when it closes; reducing the word
+    # after every term made the parse quadratic in the number of letters
+    start = time.perf_counter()
+    assert parse_word("x1 x2 " * 20000).letters == (1, 2) * 20000
+    assert parse_word("x1 " * 20000 + "x1^-1 " * 20000).is_identity()
+    assert parse_word("(" + "x2 x1^-1 " * 20000 + ")^2").letters == (2, -1) * 40000
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"40,000-letter words took {elapsed:.2f}s to parse"
 
 
 # Tokens of the grammar, malformed tokens and stray characters, all ASCII.
@@ -125,7 +139,9 @@ def test_parse_family_round_trip(shape, sign):
 
 @pytest.mark.parametrize(
     "text", ["", "zk:2", "x2yk", "x2yk:+", "x2yk:*,k=2", "x2yk:+,k=-2", "x2yk:+,k=", "X2YK:+,k=2",
-             "x2yk:+;k=2", "x2yk:+,k=2,", "x2y:+,k=2"]
+             "x2yk:+;k=2", "x2yk:+,k=2,", "x2y:+,k=2",
+             "x2yk:+,k=\u0663",  # k is ASCII digits only
+             pytest.param("x2yk:+,k=" + "1" * 5000, id="k-past-int-digit-limit")]
 )
 def test_parse_family_rejects(text):
     with pytest.raises(ValueError) as err:

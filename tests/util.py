@@ -4,7 +4,8 @@ wordmaps.words.parse_word), integer 2x2 matrix arithmetic (exact, for
 oracle checks against the symbolic trace machinery), the letter walk of tau on
 TracePolynomial arithmetic (the oracle for the packed walk of
 wordmaps.tracepoly), an F_q element and SL2(F_q) matrix type (the oracle
-for the field tables and kernels of wordmaps.gf), the plain trace scan
+for the field tables and kernels of wordmaps.gf), both sides of the tau
+identity at a pair of SL2(F_q) elements, the plain trace scan
 (the oracle for wordmaps.gf.trace_scan), reduced-word enumeration, and
 oracles for proper powers and multiplicative orders."""
 
@@ -16,7 +17,7 @@ from typing import Iterator
 
 from hypothesis import settings
 
-from wordmaps.gf import FieldSpec, ImageReport, check_budget, field_tables
+from wordmaps.gf import DEFAULT_BUDGET, FieldSpec, ImageReport, check_budget, field_tables
 from wordmaps.tracepoly import S, T, U, TracePolynomial, tau
 from wordmaps.words import ALPHABET, Word, WordSyntaxError, commutator
 
@@ -393,7 +394,26 @@ def eval_word(w: Word, x: Mat2, y: Mat2) -> Mat2:
     return acc
 
 
-def oracle_trace_scan(w: Word, field: FieldSpec, budget: int | None = None) -> ImageReport:
+def tau_sides(field: FieldSpec, x: tuple[int, ...], y: tuple[int, ...]):
+    """For the index 4-tuples x, y of two SL2(F_q) elements, a function of
+    (w, tau(w)) that returns both sides of tr w(x, y) = tau(w)(tr x, tr y,
+    tr xy), for the caller to compare.
+
+    Over a prime field an index is its residue, so x and y are read as
+    integer matrices and both sides are evaluated over Z and reduced mod p:
+    the adjugate in mat_inv is the inverse mod p, as det = 1 mod p.  Over
+    an extension field both sides are FqElements, through Mat2."""
+    if field.n == 1:
+        p = field.p
+        xm, ym = (x[:2], x[2:]), (y[:2], y[2:])
+        s, t, u = mat_trace(xm), mat_trace(ym), mat_trace(mat_mul(xm, ym))
+        return lambda w, poly: (mat_trace(eval_word_int(w, xm, ym)) % p, poly.evaluate(s, t, u) % p)
+    xm, ym = Mat2.from_indices(field, x), Mat2.from_indices(field, y)
+    s, t, u = xm.trace(), ym.trace(), (xm * ym).trace()
+    return lambda w, poly: (eval_word(w, xm, ym).trace(), poly.evaluate(s, t, u))
+
+
+def oracle_trace_scan(w: Word, field: FieldSpec, budget: int = DEFAULT_BUDGET) -> ImageReport:
     """The plain trace scan: tau(w) reduced mod p, evaluated at every
     (s, t, u) in F_q^3 through the field tables, with no symmetry and no
     early exit."""
@@ -431,7 +451,6 @@ def oracle_trace_scan(w: Word, field: FieldSpec, budget: int | None = None) -> I
         word=str(w),
         method="scan",
         image_traces=frozenset(attained),
-        misses_involutions=0 not in attained,
         surjective=None,
         count=total,
     )
