@@ -48,6 +48,7 @@ from .words import (
     parse_word,
     render,
     standard_corpus,
+    trace_equivalent,
     y1,
     yk,
 )

@@ -94,8 +94,10 @@ def _certificates(lemma: str, kmin: int, kmax: int, signs, shapes):
             )
         for shape, sign, (lhs, rhs, verdict) in cases:
             shape_key = {"shape": shape.value} if shape else {}
+            lhs_text = str(lhs)  # the canonical text: equal sides render alike
             yield {"lemma": lemma, "k": k, **shape_key, "variant": _VARIANTS.get(sign),
-                   "verdict": verdict, "lhs": str(lhs), "rhs": str(rhs)}
+                   "verdict": verdict, "lhs": lhs_text,
+                   "rhs": lhs_text if lhs == rhs else str(rhs)}
 
 
 def cmd_verify(args) -> Result:

@@ -29,7 +29,7 @@ import functools
 import itertools
 from typing import Iterator, Mapping
 
-from .words import Shape, Word, family_word, y1, yk
+from .words import Shape, Word, cyclic_reduce, family_word, trace_equivalent, y1, yk
 
 Monomial = tuple[int, int, int]
 
@@ -250,13 +250,15 @@ def tau(w: Word) -> TracePolynomial:
     """Trace polynomial of w: for every field and every determinant-1 pair
     (x, y), tr(w(x, y)) = tau(w)(tr x, tr y, tr xy).
 
-    Walks e = c1*1 + cx*X + cy*Y + cxy*XY letter by letter, e -> e*X or
-    e*Y by the rules above, and e -> e*X^-1 = s*e - e*X or
+    Trace is a class function, so only the cyclically reduced core of w
+    is walked: e = c1*1 + cx*X + cy*Y + cxy*XY letter by letter, e -> e*X
+    or e*Y by the rules above, and e -> e*X^-1 = s*e - e*X or
     e*Y^-1 = t*e - e*Y expanded into direct formulas.  Each new coordinate
     is one dict built from shifted copies of the old ones, on the packed
     keys of the module docstring: bits = (len(w) + 2).bit_length() gives
     B = 2^bits > len(w) + 2, above every exponent.  The keys are unpacked
     to exponent triples once, at the end."""
+    w = cyclic_reduce(w)[1]
     bits = (len(w) + 2).bit_length()  # every exponent is <= len(w) + 1 < 2^bits
     s, t, u = 1 << 2 * bits, 1 << bits, 1
     c1, cx, cy, cxy = {0: 1}, {}, {}, {}
@@ -386,10 +388,11 @@ def factorization_certificate(
 ) -> tuple[TracePolynomial, TracePolynomial, bool]:
     """(lhs, rhs, verdict) with lhs = tau(family_word) and rhs the
     alternating sum form; the verdict also requires the traces of
-    x1^2 y_(-k) and x1^(-2) y_k to agree as polynomials."""
+    x1^2 y_(-k) and x1^(-2) y_k to agree, which holds because the first
+    word is the inverse of a rotation of the second (trace_equivalent)."""
     lhs = tau(family_word(which, inner_sign, k))
     rhs = factorization_sum_form(k, which, inner_sign)
-    verdict = lhs == rhs and (
-        tau(_X1SQ * yk(inner_sign, -k)) == tau(_X1NEGSQ * yk(inner_sign, k))
+    verdict = lhs == rhs and trace_equivalent(
+        _X1SQ * yk(inner_sign, -k), _X1NEGSQ * yk(inner_sign, k)
     )
     return lhs, rhs, verdict

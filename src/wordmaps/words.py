@@ -9,8 +9,9 @@ families
     x1^(+2) * y_k,   x1^(-2) * y_k,   x1^(+2) * y_(-k),
 
 where y_1 = x1^2 x2 x1^(±2) x2^-1 and y_k is its k-th power, and decides
-whether a word is a proper power of a shorter word.  It owns the word
-language: the word grammar (parse_word, WORD_HELP), the family
+whether a word is a proper power of a shorter word, and whether two
+words are conjugate up to inversion, hence have the same trace.  It owns
+the word language: the word grammar (parse_word, WORD_HELP), the family
 mini-syntax (parse_family) and the effective index of a shape
 (Shape.kpm).
 """
@@ -79,7 +80,7 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return (~self) ** (-n)
-        return Word(self.letters * n)
+        return Word(self.letters * n) if self.letters else self
 
     def is_identity(self) -> bool:
         return not self.letters
@@ -126,6 +127,11 @@ WORD_HELP = (
     "exponent 0 expands to the empty word."
 )
 
+# The most letters parse_word builds for one group before reducing it: the
+# sum over its terms of |exponent| times the length of the reduced factor,
+# a commutator [a, b] counting 2*(|a| + |b|).
+MAX_WORD_LETTERS = 10**6
+
 # One alternative per token kind; exponents are ASCII digits only.
 _TOKEN = re.compile(
     r"x(?P<gen>[12])|(?P<int>[+-]?[0-9]+)|(?P<punct>[()\[\],^])|\s+|(?P<stray>.)", re.S
@@ -141,7 +147,9 @@ def parse_word(text: str) -> Word:
     digits, ``[a, b]`` is the commutator a^-1 b^-1 a b, exponent 0
     expands to the empty word, and blank input parses to the empty
     word.  Groups nest to any depth: the open ones are kept on a
-    list, not on the call stack.
+    list, not on the call stack.  A term that would take its group past
+    MAX_WORD_LETTERS letters is an error at its exponent (or at its
+    start if it has none), raised before its letters are built.
 
     >>> str(parse_word("[x1^-2, x2^-1]"))
     'x1^2 x2 x1^-2 x2^-1'
@@ -170,9 +178,10 @@ def parse_word(text: str) -> Word:
     # The letters of the word being read are `out` (None until its first
     # term), reduced once when it ends at `closer`: reducing each product
     # would re-reduce the prefix.  Each open group pushes the enclosing
-    # (out, closer, left), where `left` is the left side of a commutator.
-    groups: list[tuple[list[int] | None, str, Word | None]] = []
-    out, closer, left = None, "end", None
+    # (out, closer, left, opener), where `left` is the left side of a
+    # commutator and `opener` the position of the group's bracket.
+    groups: list[tuple[list[int] | None, str, Word | None, int]] = []
+    out, closer, left, opener = None, "end", None, 0
     i = 0
     while True:
         kind, value, pos = tokens[i]
@@ -187,27 +196,36 @@ def parse_word(text: str) -> Word:
             if kind == ",":
                 left, out, closer = Word(out), None, "]"
                 continue
-            factor = commutator(left, Word(out)) if kind == "]" else Word(out)
-            out, closer, left = groups.pop()
+            factor, pos = Word(out), opener
+            if kind == "]":
+                _check_size(2 * (len(left) + len(factor)), pos)
+                factor = commutator(left, factor)
+            out, closer, left, opener = groups.pop()
         elif kind in ("(", "["):
-            groups.append((out, closer, left))
-            out, closer, left = None, ")" if kind == "(" else ",", None
+            groups.append((out, closer, left, opener))
+            out, closer, left, opener = None, ")" if kind == "(" else ",", None, pos
             continue
         elif kind == "gen":
             factor = Word((value,))
         else:
             raise WordSyntaxError(f"unexpected token {value!r}", pos)
+        exponent = 1
         if tokens[i][0] == "^":
-            kind, value, pos = tokens[i + 1]
+            kind, exponent, pos = tokens[i + 1]
             if kind != "int":
                 raise WordSyntaxError(
                     "unexpected end of input" if kind == "end" else "expected 'int'", pos
                 )
-            factor **= value
             i += 2
         if out is None:
             out = []
-        out += factor.letters
+        _check_size(len(out) + len(factor) * abs(exponent), pos)
+        out += (factor ** exponent if exponent != 1 else factor).letters
+
+
+def _check_size(letters: int, pos: int) -> None:
+    if letters > MAX_WORD_LETTERS:
+        raise WordSyntaxError(f"word longer than {MAX_WORD_LETTERS} letters before reduction", pos)
 
 
 class Shape(enum.Enum):
@@ -227,7 +245,8 @@ class Shape(enum.Enum):
 
     def kpm(self, k: int) -> int:
         """Effective index: k for the x1^2 y_k shape, k - 1 for the two
-        shapes whose trace agrees with x1^(-2) y_k (including x1^2 y_(-k))."""
+        shapes whose trace agrees with x1^(-2) y_k (including x1^2 y_(-k),
+        the inverse of a rotation of it: see trace_equivalent)."""
         return k if self is Shape.X2_YK else k - 1
 
 
@@ -285,6 +304,27 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
         lo += 1
         hi -= 1
     return Word(letters[:lo]), Word(letters[lo:hi])
+
+
+def trace_equivalent(a: Word, b: Word) -> bool:
+    """Whether a is conjugate in F_2 to b or to b^-1: the cyclically
+    reduced core of a is a cyclic rotation of the core of b or of ~b.
+
+    Then tr a(x, y) = tr b(x, y) for every determinant-1 pair (x, y) over
+    every commutative ring, so a and b have the same trace polynomial:
+    a rotation of a word is a conjugate, tr(g w g^-1) = tr w, and
+    tr(w^-1) = tr w because w + w^-1 = tr(w)*1 (Cayley-Hamilton).  The
+    converse fails: x1^2 y_1 and x1^-2 y_2 have the same trace but are
+    not related this way.
+
+    >>> trace_equivalent(parse_word("x1^2 x2^-1"), parse_word("x1^-1 x2 x1^-1"))
+    True
+    """
+    # l % 5 sends the letters 1, -1, 2, -2 to the distinct bytes 1, 4, 2, 3
+    core, other, other_inverse = (
+        bytes(l % 5 for l in cyclic_reduce(w)[1].letters) for w in (a, b, ~b)
+    )
+    return len(core) == len(other) and (core in other * 2 or core in other_inverse * 2)
 
 
 def is_proper_power(w: Word) -> tuple[bool, Word | None, int | None]:

@@ -72,6 +72,16 @@ def test_trace_exponent_past_int_digit_limit_is_syntax_error(capsys):
     assert (code, out, err) == (2, "", "error: syntax error: too many digits in exponent (position 3)\n")
 
 
+def test_trace_word_past_size_cap_is_syntax_error(capsys):
+    # nested powers ask for about 10^8 letters; the parser refuses the last
+    # exponent before building them
+    start = time.perf_counter()
+    code, out, err = run(capsys, "trace", "(((x1^99)^99)^99)^99")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err == "error: syntax error: word longer than 1000000 letters before reduction (position 18)\n"
+
+
 # -- verify --
 
 def test_verify_swap_emits_34_true_certificates(capsys):

@@ -20,8 +20,17 @@ from wordmaps.tracepoly import (
     swap_certificate,
     tau,
 )
-from wordmaps.words import Shape, Word, family_word, parse_word, random_reduced_word, y1, yk
-from util import eval_word_int, mat_mul, mat_trace, oracle_tau, random_int_sl2
+from wordmaps.words import (
+    Shape,
+    Word,
+    family_word,
+    parse_word,
+    random_reduced_word,
+    trace_equivalent,
+    y1,
+    yk,
+)
+from util import eval_word_int, mat_mul, mat_trace, oracle_tau, random_int_sl2, reduced_letter_tuples
 
 MINUS = "−"
 
@@ -226,11 +235,48 @@ def test_sum_form_k2_x2yk():
 
 
 def test_verify_factorization_small_range():
-    for k in range(1, 5):
+    for k in range(1, 13):
         for which in Shape:
             for inner in (1, -1):
                 lhs, rhs, verdict = factorization_certificate(k, which, inner)
                 assert verdict and lhs == rhs, (k, which, inner)
+
+
+# -- the second factorization clause as a free-group identity, checked
+#    against the two polynomial walks it replaces --
+
+_X1SQ, _X1NEGSQ = Word((1, 1)), Word((-1, -1))
+
+
+def test_second_clause_walks_agree_with_word_identity():
+    for k in range(-12, 13):
+        for inner in (1, -1):
+            a, b = _X1SQ * yk(inner, -k), _X1NEGSQ * yk(inner, k)
+            assert tau(a) == tau(b), (k, inner)
+            assert trace_equivalent(a, b), (k, inner)
+
+
+def test_trace_equivalent_on_rotations_and_inverses():
+    for letters in reduced_letter_tuples(6):
+        w = Word(letters)
+        rotations = [Word(letters[i:] + letters[:i]) for i in range(len(letters))]
+        for v in rotations + [~r for r in rotations]:
+            assert trace_equivalent(w, v) and trace_equivalent(v, w), (w, v)
+            assert tau(v) == tau(w), (w, v)
+
+
+def test_trace_equivalent_rejects():
+    for k in range(1, 13):
+        for inner in (1, -1):
+            a, b = _X1SQ * yk(inner, k), _X1NEGSQ * yk(inner, k)
+            assert not trace_equivalent(a, b), (k, inner)
+            assert tau(a) != tau(b), (k, inner)
+    # the swap pair has equal traces, yet neither word is conjugate to the
+    # other or to its inverse
+    for inner in (1, -1):
+        a, b = _X1SQ * y1(inner), _X1NEGSQ * yk(inner, 2)
+        assert tau(a) == tau(b), inner
+        assert not trace_equivalent(a, b) and not trace_equivalent(b, a), inner
 
 
 def test_perturbed_sum_is_detected():
