@@ -6,8 +6,9 @@ base-p number sum c_i p^i.  Sums and products are looked up in per-field
 tables (field_tables), one path for prime and extension fields.  The
 modulus for (p, n) is deterministic — the first irreducible among the
 monic degree-n candidates ordered lexicographically on the coefficient
-tuple compared low-degree-first — so every report reproduces bit-for-bit
-across machines.  Enumeration orders are fixed and reports carry no
+tuple compared low-degree-first, found by trial division — so every report
+reproduces bit-for-bit across machines.  SL2(F_q) is the determinant-1
+filter over F_q^4.  Enumeration orders are fixed and reports carry no
 timing, so two identical runs give identical reports.  Odd characteristic
 only.
 """
@@ -73,62 +74,29 @@ def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
 
 
 def _pmod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
+    """The remainder of a modulo m; m is monic, as every divisor here is: the
+    field's modulus and the trial divisors of _is_irreducible."""
     rem = list(a)
     dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
     while len(rem) > dm:
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) <= dm:
-            break
-        factor = rem[-1] * inv_lead % p
-        shift = len(rem) - len(m)
-        for i, c in enumerate(m):
-            rem[shift + i] = (rem[shift + i] - factor * c) % p
+        # subtract top * x^shift * m, which clears the top coefficient
+        top = rem.pop()
+        if top:
+            shift = len(rem) - dm
+            for i in range(dm):
+                rem[shift + i] = (rem[shift + i] - top * m[i]) % p
     return _ptrim(rem)
 
 
-def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _ppowmod(base: Sequence[int], e: int, m: Sequence[int], p: int) -> tuple[int, ...]:
-    result: tuple[int, ...] = (1,)
-    acc = _pmod(base, m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, acc, p), m, p)
-        acc = _pmod(_pmul(acc, acc, p), m, p)
-        e >>= 1
-    return result
-
-
-def _psub(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _ptrim(out)
-
-
-def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
-    """Rabin test: x^(p^n) == x mod f, and gcd(x^(p^(n/l)) - x, f) = 1 for
-    every prime l dividing n."""
-    n = len(mod) - 1
-    if n == 1:
-        return True
-    x = (0, 1)
-    if _psub(_ppowmod(x, p**n, mod, p), x, p):
-        return False
-    for ell in {ell for ell in range(2, n + 1) if n % ell == 0 and is_prime(ell)}:
-        g = _pgcd(_psub(_ppowmod(x, p ** (n // ell), mod, p), x, p), mod, p)
-        if len(g) != 1:
-            return False
-    return True
+def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
+    """Trial division: a monic f of degree n is irreducible iff no monic g
+    of degree 1..n//2 divides it, since a factorization has a factor of
+    degree at most n/2."""
+    return all(
+        _pmod(f, tail + (1,), p)
+        for d in range(1, (len(f) - 1) // 2 + 1)
+        for tail in itertools.product(range(p), repeat=d)
+    )
 
 
 @dataclass(frozen=True)
@@ -145,9 +113,10 @@ class FieldSpec:
         return self.p**self.n
 
 
-@functools.lru_cache(maxsize=None)
 def make_field(p: int, n: int) -> FieldSpec:
-    """Deterministic field constructor; rejects even or composite p."""
+    """F_(p^n) with the first monic irreducible degree-n modulus in
+    lexicographic order on its coefficients, low-degree-first, found by
+    trial division; rejects even or composite p."""
     if p == 2:
         raise ValueError("even characteristic is not supported")
     if not is_prime(p):
@@ -216,23 +185,15 @@ def field_tables(field: FieldSpec) -> Tables:
 
 @functools.lru_cache(maxsize=None)
 def sl2_group(field: FieldSpec) -> tuple[tuple[int, int, int, int], ...]:
-    """All of SL2(F_q) as index 4-tuples (a, b, c, d) of [a b; c d],
-    ordered row-major over (a, b, c) with d solved from the determinant
-    when a != 0; for a = 0 the constraint is bc = -1 and d runs over the
-    whole field.  |SL2(F_q)| = q(q^2-1)."""
+    """All of SL2(F_q) as index 4-tuples (a, b, c, d) of [a b; c d], by the
+    definition: the quadruples of F_q^4, in lexicographic order, with
+    ad = 1 + bc.  |SL2(F_q)| = q(q^2-1)."""
     add, mul = field_tables(field)
-    q = field.q
-    neg = mul[field.p - 1]  # negation is the product by -1, whose index is p - 1
-    out = []
-    for b in range(1, q):
-        c = neg[mul[b].index(1)]
-        out.extend((0, b, c, d) for d in range(q))
-    for a in range(1, q):
-        ainv = mul[a].index(1)
-        for b in range(q):
-            row = mul[b]
-            out.extend((a, b, c, mul[add[1][row[c]]][ainv]) for c in range(q))
-    return tuple(out)
+    return tuple(
+        (a, b, c, d)
+        for a, b, c, d in itertools.product(range(field.q), repeat=4)
+        if mul[a][d] == add[1][mul[b][c]]
+    )
 
 
 def psl2_order(q: int) -> int:

@@ -129,7 +129,7 @@ WORD_HELP = (
 
 # The most letters parse_word builds for one group before reducing it: the
 # sum over its terms of |exponent| times the length of the reduced factor,
-# a commutator [a, b] counting 2*(|a| + |b|).
+# a commutator [a, b] counting 2*(|a| + |b|).  yk refuses a y_k longer too.
 MAX_WORD_LETTERS = 10**6
 
 # One alternative per token kind; exponents are ASCII digits only.
@@ -279,7 +279,13 @@ def y1(inner_sign: int = 1) -> Word:
 
 
 def yk(inner_sign: int, k: int) -> Word:
-    """k-th power of y1 (k may be any integer; y_0 is the empty word)."""
+    """k-th power of y1 (k may be any integer; y_0 is the empty word).
+    Raises ValueError, before building it, when its 6|k| letters are more
+    than MAX_WORD_LETTERS."""
+    if 6 * abs(k) > MAX_WORD_LETTERS:
+        raise ValueError(
+            f"y_k for k = {k} has {6 * abs(k)} letters, over the cap of {MAX_WORD_LETTERS}"
+        )
     return y1(inner_sign) ** k
 
 

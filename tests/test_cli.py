@@ -274,6 +274,23 @@ def test_image_bad_family_index(capsys, k):
     assert err == f"error: bad family {family!r}; expected e.g. 'x2yk:+,k=2' (see --help)\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("image", "--q", "3", "--family", "x2yk:+,k=100000000", "--method", "pairs"),
+        ("verify", "--lemma", "swap", "--k-min", "200000", "--k-max", "200000"),
+    ],
+    ids=["image-family", "verify-swap"],
+)
+def test_family_index_past_size_cap(capsys, argv):
+    # y_k has 6|k| letters: past MAX_WORD_LETTERS it is refused unbuilt
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "over the cap of 1000000" in err
+
+
 def test_image_bad_q(capsys):
     code, _, err = run(capsys, "image", "--q", "8", "--word", "x1", "--method", "scan")
     assert code == 2

@@ -6,6 +6,7 @@ import pytest
 from wordmaps.arith import check_nonsurjectivity_conditions, odd_prime_power, RamifiedPrimeError
 from wordmaps.gf import (
     BudgetExceededError,
+    _is_irreducible,
     enumerate_image_pairs,
     field_tables,
     make_field,
@@ -15,7 +16,7 @@ from wordmaps.gf import (
 )
 from wordmaps.tracepoly import TracePolynomial, tau
 from wordmaps.words import Shape, Word, family_word, parse_word
-from util import FqElement, Mat2, eval_word, field_elements, oracle_trace_scan
+from util import FqElement, Mat2, eval_word, field_elements, oracle_trace_scan, reducible_monics
 
 
 # -- deterministic modulus selection --
@@ -25,33 +26,26 @@ def test_make_field_degree_one_modulus_is_x():
     assert make_field(13, 1).modulus == (0, 1)
 
 
-def _poly_is_reducible_bruteforce(cand, p):
-    """Oracle: mark every monic product of two lower-degree monics."""
-    n = len(cand) - 1
-    for da in range(1, n):
-        db = n - da
-        for ta in itertools.product(range(p), repeat=da):
-            fa = ta + (1,)
-            for tb in itertools.product(range(p), repeat=db):
-                fb = tb + (1,)
-                prod = [0] * (n + 1)
-                for i, ca in enumerate(fa):
-                    for j, cb in enumerate(fb):
-                        prod[i + j] = (prod[i + j] + ca * cb) % p
-                if tuple(prod) == cand:
-                    return True
-    return False
-
-
 def test_make_field_3_3_matches_exhaustive_oracle():
-    expected = None
-    for tail in itertools.product(range(3), repeat=3):
-        cand = tail + (1,)
-        if not _poly_is_reducible_bruteforce(cand, 3):
-            expected = cand
-            break
+    reducible = reducible_monics(3, 3)
+    expected = next(
+        tail + (1,) for tail in itertools.product(range(3), repeat=3) if tail + (1,) not in reducible
+    )
     field = make_field(3, 3)
     assert field.modulus == expected == (1, 0, 2, 1)  # x^3 + 2x^2 + 1
+
+
+IRREDUCIBILITY_FIELDS = [(p, n) for p in (3, 5, 7) for n in range(1, 5)] + [(3, 5), (3, 6)]
+
+
+@pytest.mark.parametrize("p,n", IRREDUCIBILITY_FIELDS)
+def test_irreducible_exactly_when_no_product(p, n):
+    # trial division against the set of products g*h, and the modulus is
+    # the first monic candidate outside that set
+    reducible = reducible_monics(p, n)
+    monics = [tail + (1,) for tail in itertools.product(range(p), repeat=n)]
+    assert [_is_irreducible(f, p) for f in monics] == [f not in reducible for f in monics]
+    assert make_field(p, n).modulus == next(f for f in monics if f not in reducible)
 
 
 def test_make_field_rejects_bad_characteristic():
@@ -96,7 +90,10 @@ def test_negation_is_the_row_of_minus_one(p, n):
     assert [(-x).index for x in field_elements(field)] == list(mul[p - 1])
 
 
-@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2), (3, 3)])
+@pytest.mark.parametrize(
+    "p,n",
+    [(3, 1), (5, 1), (3, 2), (3, 3), (5, 2), (7, 2), (3, 4), (11, 2), (13, 2), (17, 2), (19, 2)],
+)
 def test_inverses_exhaustive(p, n):
     _, mul = field_tables(make_field(p, n))
     assert set(mul[0]) == {0}  # zero has no inverse
@@ -148,13 +145,14 @@ def test_mat2_inverse_formula():
 
 # -- group enumeration --
 
-@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2)])
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3)])
 def test_sl2_order(p, n):
     field = make_field(p, n)
     group = sl2_group(field)
     q = field.q
     assert len(group) == q * (q * q - 1)
     assert len(set(group)) == len(group)
+    assert list(group) == sorted(group)  # lexicographic, the order other tests index by
     for m in group:
         Mat2.from_indices(field, m)  # checks the determinant
 

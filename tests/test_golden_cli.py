@@ -7,9 +7,10 @@ text are stored because the certificate output reaches about 220 KB.  A
 change that alters any byte of stdout, or any exit code, fails here.
 
 A new entry is produced from the sources before the change it guards: in a
-`git worktree` (or `git archive`) of the parent commit, run `cli.main(argv)`
-with stdout captured, and record its return value and the sha256 of the
-captured text.  Existing entries are never regenerated.
+`git worktree` (or `git archive`) of the parent commit, pipe its argv as a
+JSON list to `tests/record_golden.py`, which runs `cli.main(argv)` with
+stdout captured and prints the entry line: the return value and the sha256
+of the captured text.  Existing entries are never regenerated.
 """
 
 import hashlib

@@ -280,6 +280,17 @@ def test_family_spec_requires_positive_k():
             family_word(which, 1, 0)
 
 
+def test_yk_size_cap():
+    # y_k has 6|k| letters: the longest k under MAX_WORD_LETTERS builds, and
+    # the next is refused before any letter is built
+    k = MAX_WORD_LETTERS // 6
+    assert len(yk(1, k)) == 6 * k
+    assert len(yk(-1, -k)) == 6 * k
+    for kk in (k + 1, -(k + 1), 10**8):
+        with pytest.raises(ValueError, match=f"over the cap of {MAX_WORD_LETTERS}"):
+            yk(1, kk)
+
+
 def test_variant_for():
     # the shape fixes the outer power and the sign of k, the argument the inner sign
     assert family_word(Shape.XNEG2_YK, -1, 2) == Word((-1, -1)) * yk(-1, 2)

@@ -6,11 +6,13 @@ TracePolynomial arithmetic (the oracle for the packed walk of
 wordmaps.tracepoly), an F_q element and SL2(F_q) matrix type (the oracle
 for the field tables and kernels of wordmaps.gf), both sides of the tau
 identity at a pair of SL2(F_q) elements, the plain trace scan
-(the oracle for wordmaps.gf.trace_scan), reduced-word enumeration, and
+(the oracle for wordmaps.gf.trace_scan), the reducible monic polynomials
+over F_p (the oracle for the field modulus), reduced-word enumeration, and
 oracles for proper powers and multiplicative orders."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Iterator
@@ -325,6 +327,22 @@ class FqElement:
         for _ in range(e):
             result = result * self
         return result
+
+
+def reducible_monics(p: int, n: int) -> frozenset[tuple[int, ...]]:
+    """Every reducible monic polynomial of degree n over F_p, as coefficient
+    tuples low-degree-first: each product g*h of two monic polynomials of
+    positive degree, multiplied out by schoolbook."""
+    out = set()
+    for dg in range(1, n):
+        for tg in itertools.product(range(p), repeat=dg):
+            for th in itertools.product(range(p), repeat=n - dg):
+                prod = [0] * (n + 1)
+                for i, a in enumerate(tg + (1,)):
+                    for j, b in enumerate(th + (1,)):
+                        prod[i + j] += a * b
+                out.add(tuple([c % p for c in prod]))
+    return frozenset(out)
 
 
 def field_elements(field: FieldSpec) -> list[FqElement]:
