@@ -1,14 +1,15 @@
 """Number-theoretic side: primality, quadratic residues, inertia degrees in
-real cyclotomic subfields, prime scans with density bookkeeping, and the
-admissible word-length residues mod 18."""
+real cyclotomic subfields, the non-surjectivity conditions (one inertia
+degree per divisor of the cyclotomic modulus), prime scans with density
+bookkeeping, and the admissible word-length residues mod 18."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .words import Shape
+from .words import Shape, check_family_index
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17)
 # Jaeschke: the bases above are a deterministic witness set below this bound.
@@ -83,7 +84,7 @@ def odd_prime_power(q: int) -> tuple[int, int]:
     while rest % p == 0:
         rest //= p
         n += 1
-    if rest != 1 or not is_prime(p):
+    if rest != 1:  # p, the least divisor > 1 of q, is prime
         raise ValueError(f"{q} is not an odd prime power")
     return p, n
 
@@ -140,7 +141,9 @@ def necessary_congruence(k_pm: int) -> bool:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Structured verdict for the three non-surjectivity conditions."""
+    """Structured verdict for the three non-surjectivity conditions.  The
+    inertia degree f_i depends on i only through d = m / gcd(m, i), with
+    m = 2*k_pm+1, so the report keeps one f per divisor d > 1 of m."""
 
     p: int
     n: int
@@ -149,16 +152,24 @@ class ConditionReport:
     k_pm: int
     cond1: bool  # 2 is not a square mod p
     cond2: bool  # n is odd
-    cond3: bool  # no inertia degree f_i divides n
-    inertia_degrees: tuple[int, ...]
+    divisor_degrees: tuple[tuple[int, int], ...]  # the (d, f) pairs, by increasing d
+
+    @property
+    def cond3(self) -> bool:  # no inertia degree f_i divides n
+        return all(self.n % f != 0 for _, f in self.divisor_degrees)
+
+    @property
+    def inertia_degrees(self) -> tuple[int, ...]:  # f_i for i = 1..k_pm
+        m, by_d = 2 * self.k_pm + 1, dict(self.divisor_degrees)
+        return tuple(by_d[m // math.gcd(m, i)] for i in range(1, self.k_pm + 1))
 
     @property
     def verdict(self) -> bool:
         return self.cond1 and self.cond2 and self.cond3
 
     def to_dict(self) -> dict:
-        # the overrides keep their keys' places, so the order is the fields'
-        return {**asdict(self), "shape": self.shape.value,
+        return {"p": self.p, "n": self.n, "k": self.k, "shape": self.shape.value, "k_pm": self.k_pm,
+                "cond1": self.cond1, "cond2": self.cond2, "cond3": self.cond3,
                 "inertia_degrees": list(self.inertia_degrees), "verdict": self.verdict}
 
 
@@ -167,7 +178,8 @@ def check_nonsurjectivity_conditions(
 ) -> ConditionReport:
     """Evaluate exactly, for the word shape `which` at index k over F_(p^n):
     (1) 2 is a non-square mod p, (2) n is odd, (3) no inertia degree of p
-    in Q(zeta^i + zeta^(-i)) for the (2*k_pm+1)-th roots divides n."""
+    in Q(zeta^i + zeta^(-i)) for the (2*k_pm+1)-th roots divides n.  The
+    cost is one inertia degree per divisor of 2*k_pm+1, not one per i."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if n < 1:
@@ -180,20 +192,9 @@ def check_nonsurjectivity_conditions(
     m = 2 * k_pm + 1
     if m % p == 0:
         raise RamifiedPrimeError(f"p={p} divides 2*k_pm+1={m}")
-    # f_i depends on i only through d = m / gcd(m, i), a divisor > 1 of m
-    by_d = {d: inertia_degree(p, m, m // d) for d in divisors(m)[1:]}
-    degrees = tuple(by_d[m // math.gcd(m, i)] for i in range(1, k_pm + 1))
-    return ConditionReport(
-        p=p,
-        n=n,
-        k=k,
-        shape=which,
-        k_pm=k_pm,
-        cond1=not is_square_mod(2, p),
-        cond2=n % 2 == 1,
-        cond3=all(n % f != 0 for f in degrees),
-        inertia_degrees=degrees,
-    )
+    degrees = tuple((d, inertia_degree(p, m, m // d)) for d in divisors(m)[1:])
+    return ConditionReport(p=p, n=n, k=k, shape=which, k_pm=k_pm, cond1=not is_square_mod(2, p),
+                           cond2=n % 2 == 1, divisor_degrees=degrees)
 
 
 def _fraction_decimal(fr: Fraction, places: int = 6) -> str:
@@ -300,6 +301,7 @@ def length_residues(family: Shape, r_max: int) -> tuple[list[int], set[int]]:
     """
     if r_max < 7:
         raise ValueError(f"r_max must be >= 7, got {r_max}")
+    check_family_index((r_max - 1) // 2)
     lengths = [
         6 * k + 2 * family.outer_sign
         for k in range(1, (r_max - 1) // 2 + 1)

@@ -8,7 +8,8 @@ per line; CSV flattens one record per row.  Every subcommand prints the
 same bytes on every run: `image` reports carry no timing.  A reader that
 closes the pipe early gets no traceback, and the exit code stays the
 command's.  Certificates are computed in `tracepoly`; this module only
-renders them.
+renders them.  `image` names its field by `--q` alone; `conditions --k` and
+`lengths --r-max` exit 2 past the cap of `words.check_family_index`.
 """
 
 from __future__ import annotations
@@ -113,6 +114,7 @@ def cmd_verify(args) -> Result:
 
 
 def cmd_conditions(args) -> Result:
+    words.check_family_index(args.k)  # the record lists k_pm inertia degrees
     report = arith.check_nonsurjectivity_conditions(
         args.p, args.n, args.k, words.Shape(args.shape)
     )
@@ -121,21 +123,12 @@ def cmd_conditions(args) -> Result:
 
 
 def cmd_image(args) -> Result:
+    if args.q is None:
+        raise ValueError("provide --q")
     # The budget is checked from q alone, before q is factored or the
     # field is built: both take far longer than the check for a large q.
-    if args.q is not None:
-        if args.p is not None or args.n is not None:
-            raise ValueError("give --q or --p and --n, not both")
-        gf.check_budget(args.method, args.q, args.budget)
-        p, n = arith.odd_prime_power(args.q)
-    else:
-        if args.p is None or args.n is None:
-            raise ValueError("provide --q or both --p and --n")
-        p, n = args.p, args.n
-        if p > 2 and n > 0:  # make_field rejects the rest
-            # p^n > 2^n is over the budget once n passes its bit length:
-            # the exponent is capped there, so an absurd n is never formed
-            gf.check_budget(args.method, p ** min(n, args.budget.bit_length() + 1), args.budget)
+    gf.check_budget(args.method, args.q, args.budget)
+    p, n = arith.odd_prime_power(args.q)
     field = gf.make_field(p, n)
     if args.family is not None:
         shape, sign, k = words.parse_family(args.family)
@@ -237,9 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_conditions)
 
     sub = subs.add_parser("image", help="enumerate the word-map image over F_q")
-    sub.add_argument("--q", type=int, help="odd prime power (alternative to --p/--n)")
-    sub.add_argument("--p", type=int)
-    sub.add_argument("--n", type=int)
+    sub.add_argument("--q", type=int, help="field order, an odd prime power")
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--word", help="word text")
     group.add_argument("--family", help="family mini-syntax, e.g. 'x2yk:+,k=2'")

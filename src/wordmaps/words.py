@@ -129,7 +129,7 @@ WORD_HELP = (
 
 # The most letters parse_word builds for one group before reducing it: the
 # sum over its terms of |exponent| times the length of the reduced factor,
-# a commutator [a, b] counting 2*(|a| + |b|).  yk refuses a y_k longer too.
+# a commutator [a, b] counting 2*(|a| + |b|).  check_family_index caps y_k by it.
 MAX_WORD_LETTERS = 10**6
 
 # One alternative per token kind; exponents are ASCII digits only.
@@ -278,14 +278,19 @@ def y1(inner_sign: int = 1) -> Word:
     return Word((1, 1, 2, inner_sign, inner_sign, -2))
 
 
-def yk(inner_sign: int, k: int) -> Word:
-    """k-th power of y1 (k may be any integer; y_0 is the empty word).
-    Raises ValueError, before building it, when its 6|k| letters are more
-    than MAX_WORD_LETTERS."""
+def check_family_index(k: int) -> None:
+    """Raise ValueError when y_k, of 6|k| letters, would pass MAX_WORD_LETTERS
+    (|k| > 166,666): the cap on y_k and on the per-index outputs of the cli."""
     if 6 * abs(k) > MAX_WORD_LETTERS:
         raise ValueError(
             f"y_k for k = {k} has {6 * abs(k)} letters, over the cap of {MAX_WORD_LETTERS}"
         )
+
+
+def yk(inner_sign: int, k: int) -> Word:
+    """k-th power of y1 (k may be any integer; y_0 is the empty word).
+    Raises ValueError, before building it, past check_family_index."""
+    check_family_index(k)
     return y1(inner_sign) ** k
 
 

@@ -19,7 +19,7 @@ from wordmaps.arith import (
     scan_primes,
 )
 from wordmaps.words import Shape, family_word
-from util import multiplicative_order
+from util import multiplicative_order, oracle_inertia_degrees
 
 
 # -- primality --
@@ -68,6 +68,23 @@ def test_odd_prime_power():
     for bad in (1, 2, 8, 15, 100):
         with pytest.raises(ValueError):
             odd_prime_power(bad)
+
+
+def test_odd_prime_power_matches_brute_force():
+    # every p^n < 20,000 for an odd prime p found by trial division
+    powers = {}
+    for p in range(3, 20_000, 2):
+        if _is_prime_trial(p):
+            q, n = p, 1
+            while q < 20_000:
+                powers[q] = (p, n)
+                q, n = q * p, n + 1
+    for q in range(-1, 20_000, 2):
+        if q in powers:
+            assert odd_prime_power(q) == powers[q], q
+        else:
+            with pytest.raises(ValueError):
+                odd_prime_power(q)
 
 
 # -- quadratic residues --
@@ -200,6 +217,39 @@ def test_conditions_ramified_and_degenerate():
         check_nonsurjectivity_conditions(5, 1, 2, Shape.X2_YK)
     with pytest.raises(ValueError):
         check_nonsurjectivity_conditions(3, 1, 1, Shape.XNEG2_YK)  # k_pm = 0
+
+
+def test_condition_report_matches_per_index_oracle():
+    # the report keeps one inertia degree per divisor d > 1 of m = 2*k_pm+1;
+    # the oracle computes f_i for every i from the multiplicative order
+    for p in primes_up_to(200)[1:]:
+        for k_pm in range(1, 61):
+            m = 2 * k_pm + 1
+            if m % p == 0:
+                continue
+            degrees = oracle_inertia_degrees(p, k_pm)
+            assert {d for d, _ in check_nonsurjectivity_conditions(
+                p, 1, k_pm, Shape.X2_YK).divisor_degrees} == set(divisors(m)[1:])
+            for which in Shape:
+                k = k_pm if which is Shape.X2_YK else k_pm + 1
+                for n in range(1, 7):
+                    report = check_nonsurjectivity_conditions(p, n, k, which)
+                    cond3 = all(n % f != 0 for f in degrees)
+                    assert report.inertia_degrees == degrees, (p, k_pm)
+                    assert report.cond3 == cond3, (p, k_pm, n)
+                    assert report.verdict == (
+                        pow(2, (p - 1) // 2, p) != 1 and n % 2 == 1 and cond3
+                    ), (p, k_pm, n)
+                    assert report.to_dict()["inertia_degrees"] == list(degrees)
+
+
+def test_condition_report_is_hashable_and_keeps_its_keys():
+    report = check_nonsurjectivity_conditions(3, 5, 437, Shape.X2_YK)
+    assert hash(report) == hash(check_nonsurjectivity_conditions(3, 5, 437, Shape.X2_YK))
+    assert len(report.divisor_degrees) == len(divisors(875)) - 1  # m = 875 = 5^3 * 7
+    assert list(report.to_dict()) == [
+        "p", "n", "k", "shape", "k_pm", "cond1", "cond2", "cond3", "inertia_degrees", "verdict"
+    ]
 
 
 def test_condition_report_json_round_trip():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import wordmaps
-from wordmaps.cli import main
+from wordmaps.cli import build_parser, main
 from wordmaps.words import parse_word
 
 MINUS = "−"
@@ -128,7 +129,7 @@ def test_verify_empty_range_usage_error(capsys):
         (("verify", "--lemma", "cyclotomic", "--k-min", "0", "--k-max", "2"),
          "error: cyclotomic requires k >= 1 (k is k_pm here)"),
         (("image", "--word", "x1", "--method", "scan"),
-         "error: provide --q or both --p and --n"),
+         "error: provide --q"),
     ],
     ids=["factorization-k0", "cyclotomic-k0", "image-no-field"],
 )
@@ -213,21 +214,25 @@ def test_image_commutator_surjective(capsys):
     assert record["surjective"] is True
 
 
+def run_refused(capsys, *argv):
+    # argparse refuses an unknown option: SystemExit(2) out of main, no record
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    return captured.err
+
+
 def test_image_p_n_flags(capsys):
-    code, out, _ = run(
-        capsys, "image", "--p", "3", "--n", "2", "--word", "x1", "--method", "scan"
-    )
-    assert code == 0
-    (record,) = json_lines(out)
-    assert record["q"] == 9 and record["p"] == 3 and record["n"] == 2
+    # image names its field by --q alone: --p/--n are no options of it
+    err = run_refused(capsys, "image", "--p", "3", "--n", "2", "--word", "x1", "--method", "scan")
+    assert "unrecognized arguments: --p 3 --n 2" in err
 
 
 @pytest.mark.parametrize("extra", [("--p", "5", "--n", "1"), ("--p", "3"), ("--n", "2")])
 def test_image_q_with_p_or_n_is_usage_error(capsys, extra):
-    code, out, err = run(capsys, "image", "--q", "9", *extra, "--word", "x1", "--method", "scan")
-    assert code == 2
-    assert out == ""
-    assert "--q" in err and "not both" in err
+    err = run_refused(capsys, "image", "--q", "9", *extra, "--word", "x1", "--method", "scan")
+    assert "unrecognized arguments: " + " ".join(extra) in err
 
 
 def test_image_budget_exceeded_suggests_scan(capsys):
@@ -239,12 +244,10 @@ def test_image_budget_exceeded_suggests_scan(capsys):
 
 
 @pytest.mark.parametrize("method", ["scan", "pairs"])
-@pytest.mark.parametrize(
-    "field", [("--q", "2305843009213693951"), ("--p", "3", "--n", "20000")], ids=["q", "p-n"]
-)
+@pytest.mark.parametrize("field", [("--q", "2305843009213693951")], ids=["q"])
 def test_image_budget_checked_before_field_is_built(capsys, field, method):
-    # factoring this q by trial division, or building F_(3^20000), takes
-    # far longer than a second; the budget check needs q alone
+    # factoring this q by trial division takes far longer than a second;
+    # the budget check needs q alone
     start = time.perf_counter()
     code, _, err = run(capsys, "image", *field, "--word", "x1", "--method", method)
     assert time.perf_counter() - start < 1.0
@@ -291,6 +294,30 @@ def test_family_index_past_size_cap(capsys, argv):
     assert "over the cap of 1000000" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("conditions", "--p", "3", "--n", "1", "--k", "166667"),
+        ("conditions", "--p", "5", "--n", "1", "--k", "1000000"),
+        ("conditions", "--p", "5", "--n", "1", "--k", "1" + "0" * 30),
+        ("lengths", "--r-max", "333335"),
+        ("lengths", "--r-max", "4000000"),
+        ("lengths", "--r-max", "1" + "0" * 30),
+    ],
+    ids=["conditions-k-cap", "conditions-k-1e6", "conditions-k-1e30",
+         "lengths-r-cap", "lengths-r-4e6", "lengths-r-1e30"],
+)
+def test_per_index_outputs_past_family_index_cap(capsys, argv):
+    # conditions lists k_pm inertia degrees and lengths one length per k:
+    # past the family-index cap (k <= 166,666) both exit 2 before that work
+    # (p = 3 and 5 are unramified here: 2k+1 is prime to them)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "over the cap of 1000000" in err
+
+
 def test_image_bad_q(capsys):
     code, _, err = run(capsys, "image", "--q", "8", "--word", "x1", "--method", "scan")
     assert code == 2
@@ -319,6 +346,16 @@ def test_density_json(capsys):
     assert record["total_prime_count"] == 1229
 
 
+def test_density_cost_is_per_divisor_not_per_index(capsys):
+    # one verdict per residue class costs one inertia degree per divisor of
+    # 2*k_pm+1 = 40001, not k_pm = 20000 of them: 16 s when it was per index
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "density", "--kpm", "20000", "--x", "20000")
+    assert time.perf_counter() - start < 4.0
+    assert code == 0
+    assert json_lines(out)[0]["total_prime_count"] == 2262
+
+
 def test_lengths_text(capsys):
     code, out, _ = run(capsys, "lengths", "--r-max", "200")
     assert code == 0
@@ -332,6 +369,33 @@ def test_lengths_json(capsys):
     assert records[0]["family"] == "x2yk"
     assert records[0]["residues_mod_18"] == [2, 14]
     assert records[-1]["family"] == "union"
+
+
+# -- the option surface --
+
+# Every option string of the program and of each subcommand, in declaration
+# order: a new knob, or a second spelling of an existing one, is an edit here.
+OPTIONS = {
+    "wordmaps": ["-h", "--help", "--seed-corpus"],
+    "trace": ["-h", "--help", "--format"],
+    "verify": ["-h", "--help", "--lemma", "--k-min", "--k-max", "--variant", "--shape", "--format"],
+    "conditions": ["-h", "--help", "--p", "--n", "--k", "--shape", "--format"],
+    "image": ["-h", "--help", "--q", "--word", "--family", "--method", "--budget", "--format"],
+    "scan": ["-h", "--help", "--kpm", "--p-max", "--format"],
+    "density": ["-h", "--help", "--kpm", "--x", "--format"],
+    "lengths": ["-h", "--help", "--r-max", "--family", "--format"],
+}
+
+
+def test_option_strings_are_pinned():
+    def option_strings(parser):
+        return [s for action in parser._actions for s in action.option_strings]
+
+    parser = build_parser()
+    (subs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {"wordmaps": option_strings(parser)}
+    found.update((name, option_strings(sub)) for name, sub in subs.choices.items())
+    assert found == OPTIONS
 
 
 # -- corpus dump --

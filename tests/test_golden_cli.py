@@ -2,15 +2,18 @@
 
 `golden_cli.json` holds one entry per command: the README's CLI examples,
 a few extra formats and fields, prime scans with ramified primes and a
-composite modulus, and three error cases.  Digests rather than
-text are stored because the certificate output reaches about 220 KB.  A
-change that alters any byte of stdout, or any exit code, fails here.
+composite modulus, the family-index cap on both of its sides, and error
+cases.  Digests rather than text are stored because the certificate output
+reaches about 220 KB.  A change that alters any byte of stdout, or any exit
+code, fails here.
 
 A new entry is produced from the sources before the change it guards: in a
 `git worktree` (or `git archive`) of the parent commit, pipe its argv as a
 JSON list to `tests/record_golden.py`, which runs `cli.main(argv)` with
 stdout captured and prints the entry line: the return value and the sha256
-of the captured text.  Existing entries are never regenerated.
+of the captured text.  An error that the change itself introduces, such as a
+new cap, has no parent output and is recorded after the change.  Existing
+entries are never regenerated.
 """
 
 import hashlib

@@ -8,7 +8,8 @@ for the field tables and kernels of wordmaps.gf), both sides of the tau
 identity at a pair of SL2(F_q) elements, the plain trace scan
 (the oracle for wordmaps.gf.trace_scan), the reducible monic polynomials
 over F_p (the oracle for the field modulus), reduced-word enumeration, and
-oracles for proper powers and multiplicative orders."""
+oracles for proper powers, multiplicative orders and the per-index inertia
+degrees."""
 
 from __future__ import annotations
 
@@ -252,6 +253,20 @@ def multiplicative_order(a: int, n: int) -> int:
         acc = acc * a % n
         f += 1
     return f
+
+
+def oracle_inertia_degrees(p: int, k_pm: int) -> tuple[int, ...]:
+    """f_i for i = 1..k_pm, each computed afresh: the least f >= 1 with
+    p^f = ±1 modulo d = m / gcd(m, i), m = 2*k_pm+1, which is the order of p
+    mod d, or half of it when p^(order/2) = -1 mod d."""
+    m = 2 * k_pm + 1
+    degrees = []
+    for i in range(1, k_pm + 1):
+        d = m // math.gcd(m, i)
+        order = multiplicative_order(p, d)
+        half = order % 2 == 0 and pow(p, order // 2, d) == d - 1
+        degrees.append(order // 2 if half else order)
+    return tuple(degrees)
 
 
 class FqElement:
