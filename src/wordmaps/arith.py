@@ -1,10 +1,11 @@
-"""Number-theoretic side: primality, quadratic residues, inertia degrees in
-real cyclotomic subfields, the non-surjectivity conditions (one inertia
-degree per divisor of the cyclotomic modulus), prime scans with density
-bookkeeping, and the admissible word-length residues mod 18."""
+"""Number-theoretic side: primality, factorization, quadratic residues,
+inertia degrees in real cyclotomic subfields, the non-surjectivity
+conditions (one congruence per prime factor of the cyclotomic modulus),
+prime scans with densities, and the admissible word-length residues mod 18."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,36 +58,44 @@ def primes_up_to(limit: int) -> list[int]:
     return [i for i in range(2, limit + 1) if sieve[i]]
 
 
-def divisors(n: int) -> list[int]:
-    """Sorted positive divisors."""
+@functools.lru_cache(maxsize=None)
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of n >= 1, primes ascending, by trial division.
+
+    >>> factorize(2_000_000_000_005)
+    ((5, 1), (7, 1), (19, 3), (41, 1), (317, 1), (641, 1))
+    >>> factorize(1)
+    ()
+    """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    small, large = [], []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
+    pairs = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            pairs.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        pairs.append((n, 1))
+    return tuple(pairs)
 
 
 def odd_prime_power(q: int) -> tuple[int, int]:
-    """Decompose q = p^n with p an odd prime, or raise ValueError."""
-    if q < 3 or q % 2 == 0:
+    """Decompose q = p^n with p an odd prime, or raise ValueError.
+
+    >>> odd_prime_power(27)
+    (3, 3)
+    >>> odd_prime_power(15)
+    Traceback (most recent call last):
+    ValueError: 15 is not an odd prime power
+    """
+    if q < 3 or q % 2 == 0 or len(factorize(q)) != 1:
         raise ValueError(f"{q} is not an odd prime power")
-    p = q
-    for cand in range(3, math.isqrt(q) + 1, 2):
-        if q % cand == 0:
-            p = cand
-            break
-    n = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        n += 1
-    if rest != 1:  # p, the least divisor > 1 of q, is prime
-        raise ValueError(f"{q} is not an odd prime power")
-    return p, n
+    return factorize(q)[0]
 
 
 def is_square_mod(a: int, p: int) -> bool:
@@ -112,7 +121,8 @@ def inertia_degree(p: int, m: int, i: int) -> int:
 
     With d = m / gcd(m, i) >= 3 the field is the maximal real subfield of
     the d-th cyclotomic field and the degree is the least f >= 1 with
-    p^f ≡ ±1 (mod d); for d = 3 the field is Q and this gives 1.
+    p^f ≡ ±1 (mod d); for d = 3 the field is Q and this gives 1.  The
+    search takes up to d/2 steps, so no verdict runs it.
     Raises RamifiedPrimeError when gcd(p, d) > 1.
     """
     if m < 3 or m % 2 == 0:
@@ -141,9 +151,9 @@ def necessary_congruence(k_pm: int) -> bool:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Structured verdict for the three non-surjectivity conditions.  The
-    inertia degree f_i depends on i only through d = m / gcd(m, i), with
-    m = 2*k_pm+1, so the report keeps one f per divisor d > 1 of m."""
+    """Structured verdict for the three non-surjectivity conditions.  f_i divides
+    n exactly when p^n ≡ ±1 mod d = m/gcd(m, i), m = 2*k_pm+1; that holds for some
+    d exactly when it holds for some prime l | m.  f_i is searched for when read."""
 
     p: int
     n: int
@@ -152,16 +162,18 @@ class ConditionReport:
     k_pm: int
     cond1: bool  # 2 is not a square mod p
     cond2: bool  # n is odd
-    divisor_degrees: tuple[tuple[int, int], ...]  # the (d, f) pairs, by increasing d
 
     @property
     def cond3(self) -> bool:  # no inertia degree f_i divides n
-        return all(self.n % f != 0 for _, f in self.divisor_degrees)
+        primes = (ell for ell, _ in factorize(2 * self.k_pm + 1))
+        return all(pow(self.p, self.n, ell) not in (1, ell - 1) for ell in primes)
 
     @property
     def inertia_degrees(self) -> tuple[int, ...]:  # f_i for i = 1..k_pm
-        m, by_d = 2 * self.k_pm + 1, dict(self.divisor_degrees)
-        return tuple(by_d[m // math.gcd(m, i)] for i in range(1, self.k_pm + 1))
+        m = 2 * self.k_pm + 1
+        ds = [m // math.gcd(m, i) for i in range(1, self.k_pm + 1)]
+        by_d = {d: inertia_degree(self.p, m, m // d) for d in set(ds)}
+        return tuple(by_d[d] for d in ds)
 
     @property
     def verdict(self) -> bool:
@@ -173,28 +185,23 @@ class ConditionReport:
                 "inertia_degrees": list(self.inertia_degrees), "verdict": self.verdict}
 
 
-def check_nonsurjectivity_conditions(
-    p: int, n: int, k: int, which: Shape
-) -> ConditionReport:
+def check_nonsurjectivity_conditions(p: int, n: int, k: int, which: Shape) -> ConditionReport:
     """Evaluate exactly, for the word shape `which` at index k over F_(p^n):
     (1) 2 is a non-square mod p, (2) n is odd, (3) no inertia degree of p
     in Q(zeta^i + zeta^(-i)) for the (2*k_pm+1)-th roots divides n.  The
-    cost is one inertia degree per divisor of 2*k_pm+1, not one per i."""
+    cost is one cached factorization of 2*k_pm+1, then one pow per prime factor."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     k_pm = which.kpm(k)
     if k_pm < 1:
-        raise ValueError(
-            f"shape {which.value} with k={k} has effective index {k_pm} < 1"
-        )
+        raise ValueError(f"shape {which.value} with k={k} has effective index {k_pm} < 1")
     m = 2 * k_pm + 1
     if m % p == 0:
         raise RamifiedPrimeError(f"p={p} divides 2*k_pm+1={m}")
-    degrees = tuple((d, inertia_degree(p, m, m // d)) for d in divisors(m)[1:])
     return ConditionReport(p=p, n=n, k=k, shape=which, k_pm=k_pm, cond1=not is_square_mod(2, p),
-                           cond2=n % 2 == 1, divisor_degrees=degrees)
+                           cond2=n % 2 == 1)
 
 
 def _fraction_decimal(fr: Fraction, places: int = 6) -> str:
@@ -242,53 +249,41 @@ def scan_primes(k_pm: int, p_max: int) -> tuple[list[int], DensityReport]:
     is not kept.
 
     The verdict is computed once per residue class of p mod 8*(2*k_pm+1):
-    it depends on p only through p mod 8 (2 is a non-square mod p) and
-    p mod 2*k_pm+1 (the inertia degrees), and a class that holds a prime
-    dividing 2*k_pm+1 holds no other prime.  The per-prime cross-check
-    lives in tests/test_arith.py: test_scan_primes_matches_per_prime_conditions
-    compares the result with a fresh evaluation at every prime and with the
-    sieve criterion "p ≡ 3, 5 (mod 8) and p^2 not ≡ 1 modulo any divisor
-    d > 1 of 2*k_pm+1", and test_sieve_criterion_equivalent_to_min_inertia
-    checks that criterion against the inertia degrees.  The report carries the
-    empirical density among all primes <= p_max next to the printed density
-    (1/2)*prod(1 - 3/l) and the Dirichlet density (1/2)*prod((l-3)/(l-1))
-    over the prime divisors l of 2*k_pm+1.
+    it depends on p only through p mod 8 (2 is a non-square mod p) and p mod
+    each prime factor l of 2*k_pm+1, and a class that holds a prime dividing
+    2*k_pm+1 holds no other prime.  The cost is one trial-division
+    factorization of 2*k_pm+1, then one modular power per prime factor per
+    residue class met.  tests/test_arith.py checks the result per prime
+    against fresh evaluations and against the sieve criterion "p ≡ 3, 5
+    (mod 8) and p^2 not ≡ 1 modulo any divisor d > 1 of 2*k_pm+1".  The
+    report carries the empirical density among all primes <= p_max next to
+    the printed density (1/2)*prod(1 - 3/l) and the Dirichlet density
+    (1/2)*prod((l-3)/(l-1)) over the prime factors l of 2*k_pm+1.
     """
     if p_max < 3:
         raise ValueError(f"p_max must be >= 3, got {p_max}")
     if not necessary_congruence(k_pm):
-        raise CongruenceError(
-            f"k_pm={k_pm} is 1 mod 3: 2*k_pm+1 is divisible by 3, the real "
-            f"subfield for i=(2*k_pm+1)/3 is rational, and its inertia degree "
-            f"is always 1, so no prime qualifies"
-        )
+        raise CongruenceError(f"k_pm={k_pm} is 1 mod 3: 2*k_pm+1 is divisible by 3, the real "
+                              f"subfield for i=(2*k_pm+1)/3 is rational, and its inertia degree "
+                              f"is always 1, so no prime qualifies")
     m = 2 * k_pm + 1
     primes = primes_up_to(p_max)
     verdicts: dict[int, bool] = {}
     kept = []
     for p in primes[1:]:  # primes[0] == 2
         r = p % (8 * m)
-        if r not in verdicts:
-            try:
-                verdicts[r] = check_nonsurjectivity_conditions(p, 1, k_pm, Shape.X2_YK).verdict
-            except RamifiedPrimeError:
-                verdicts[r] = False
+        if r not in verdicts:  # a prime dividing m is ramified and not kept
+            verdicts[r] = m % p != 0 and check_nonsurjectivity_conditions(
+                p, 1, k_pm, Shape.X2_YK).verdict
         if verdicts[r]:
             kept.append(p)
-    printed = Fraction(1, 2)
-    dirichlet = Fraction(1, 2)
-    for ell in filter(is_prime, divisors(m)):
+    printed = dirichlet = Fraction(1, 2)
+    for ell, _ in factorize(m):
         printed *= 1 - Fraction(3, ell)
         dirichlet *= Fraction(ell - 3, ell - 1)
-    report = DensityReport(
-        k_pm=k_pm,
-        x=p_max,
-        matching_prime_count=len(kept),
-        total_prime_count=len(primes),
-        printed_density=printed,
-        dirichlet_density=dirichlet,
-    )
-    return kept, report
+    return kept, DensityReport(k_pm=k_pm, x=p_max, matching_prime_count=len(kept),
+                               total_prime_count=len(primes), printed_density=printed,
+                               dirichlet_density=dirichlet)
 
 
 def length_residues(family: Shape, r_max: int) -> tuple[list[int], set[int]]:

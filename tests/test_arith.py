@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from wordmaps import arith
 from wordmaps.arith import (
     CongruenceError,
     RamifiedPrimeError,
     check_nonsurjectivity_conditions,
-    divisors,
+    factorize,
     inertia_degree,
     is_prime,
     is_square_mod,
@@ -19,7 +20,7 @@ from wordmaps.arith import (
     scan_primes,
 )
 from wordmaps.words import Shape, family_word
-from util import multiplicative_order, oracle_inertia_degrees
+from util import divisors_above_one, multiplicative_order, oracle_inertia_degrees
 
 
 # -- primality --
@@ -57,9 +58,17 @@ def test_primes_up_to_matches_count():
     assert ps[-1] == 9973
 
 
-def test_divisors():
-    assert divisors(1) == [1]
-    assert divisors(45) == [1, 3, 5, 9, 15, 45]
+def test_factorize_matches_brute_force():
+    # the pairs multiply back to n, with primes ascending and exponents >= 1
+    for n in range(1, 20_001):
+        pairs = factorize(n)
+        assert math.prod(ell**e for ell, e in pairs) == n, n
+        primes = [ell for ell, _ in pairs]
+        assert primes == sorted(set(primes)), n
+        assert all(_is_prime_trial(ell) and e >= 1 for ell, e in pairs), n
+    for bad in (0, -1, -12):
+        with pytest.raises(ValueError):
+            factorize(bad)
 
 
 def test_odd_prime_power():
@@ -220,19 +229,17 @@ def test_conditions_ramified_and_degenerate():
 
 
 def test_condition_report_matches_per_index_oracle():
-    # the report keeps one inertia degree per divisor d > 1 of m = 2*k_pm+1;
-    # the oracle computes f_i for every i from the multiplicative order
+    # the report decides cond3 by p^n ≢ ±1 modulo each prime factor of
+    # m = 2*k_pm+1; the oracle computes f_i for every i from the
+    # multiplicative order, and cond3 is "no f_i divides n"
     for p in primes_up_to(200)[1:]:
         for k_pm in range(1, 61):
-            m = 2 * k_pm + 1
-            if m % p == 0:
+            if (2 * k_pm + 1) % p == 0:
                 continue
             degrees = oracle_inertia_degrees(p, k_pm)
-            assert {d for d, _ in check_nonsurjectivity_conditions(
-                p, 1, k_pm, Shape.X2_YK).divisor_degrees} == set(divisors(m)[1:])
             for which in Shape:
                 k = k_pm if which is Shape.X2_YK else k_pm + 1
-                for n in range(1, 7):
+                for n in range(1, 13):
                     report = check_nonsurjectivity_conditions(p, n, k, which)
                     cond3 = all(n % f != 0 for f in degrees)
                     assert report.inertia_degrees == degrees, (p, k_pm)
@@ -243,10 +250,21 @@ def test_condition_report_matches_per_index_oracle():
                     assert report.to_dict()["inertia_degrees"] == list(degrees)
 
 
+def test_verdicts_never_search_inertia_degrees(monkeypatch):
+    # cond3 comes from factorize; only the inertia_degrees record searches
+    def refuse(*args):
+        raise AssertionError("inertia_degree called on a verdict path")
+
+    monkeypatch.setattr(arith, "inertia_degree", refuse)
+    assert check_nonsurjectivity_conditions(3, 5, 437, Shape.X2_YK).verdict
+    assert scan_primes(437, 2000)[0]
+    with pytest.raises(AssertionError):
+        check_nonsurjectivity_conditions(3, 5, 437, Shape.X2_YK).to_dict()
+
+
 def test_condition_report_is_hashable_and_keeps_its_keys():
     report = check_nonsurjectivity_conditions(3, 5, 437, Shape.X2_YK)
     assert hash(report) == hash(check_nonsurjectivity_conditions(3, 5, 437, Shape.X2_YK))
-    assert len(report.divisor_degrees) == len(divisors(875)) - 1  # m = 875 = 5^3 * 7
     assert list(report.to_dict()) == [
         "p", "n", "k", "shape", "k_pm", "cond1", "cond2", "cond3", "inertia_degrees", "verdict"
     ]
@@ -297,7 +315,7 @@ def test_scan_primes_matches_per_prime_conditions():
             if m % p and check_nonsurjectivity_conditions(p, 1, k_pm, Shape.X2_YK).verdict
         ]
         assert kept == expected, k_pm
-        divs = [d for d in divisors(m) if d > 1]
+        divs = divisors_above_one(m)
         sieve = [
             p
             for p in primes
@@ -310,7 +328,7 @@ def test_sieve_criterion_equivalent_to_min_inertia():
     # p^2 != 1 mod every divisor > 1 of m  <=>  all inertia degrees >= 2
     for k_pm in (2, 3, 5, 6):
         m = 2 * k_pm + 1
-        divs = [d for d in divisors(m) if d > 1]
+        divs = divisors_above_one(m)
         for p in primes_up_to(10**5):
             if math.gcd(p, m) != 1:
                 continue

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -347,13 +348,38 @@ def test_density_json(capsys):
 
 
 def test_density_cost_is_per_divisor_not_per_index(capsys):
-    # one verdict per residue class costs one inertia degree per divisor of
-    # 2*k_pm+1 = 40001, not k_pm = 20000 of them: 16 s when it was per index
+    # one verdict per residue class costs one modular power per prime factor
+    # of 2*k_pm+1 = 40001, not one step per index: 16 s when it was per index
     start = time.perf_counter()
     code, out, _ = run(capsys, "density", "--kpm", "20000", "--x", "20000")
     assert time.perf_counter() - start < 4.0
     assert code == 0
     assert json_lines(out)[0]["total_prime_count"] == 2262
+
+
+def test_scan_cost_is_one_factorization(capsys):
+    # 2*k_pm+1 is factored once by trial division, then each residue class
+    # costs one modular power per prime factor; a search for each inertia
+    # degree took minutes here.  Each output is checked against the
+    # criterion p ≡ 3, 5 (mod 8) and p mod l not in {0, 1, l-1} for every
+    # prime l dividing 2*k_pm+1.
+    composite, prime = 2_000_000_000_005, 2_000_000_000_003
+    assert math.prod((5, 7, 19**3, 41, 317, 641)) == composite
+    assert all(prime % d for d in range(2, math.isqrt(prime) + 1))
+    outputs = {}
+    for m, factors, p_max in ((composite, (5, 7, 19, 41, 317, 641), 100), (prime, (prime,), 2000)):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "scan", "--kpm", str((m - 1) // 2), "--p-max", str(p_max))
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        expected = [
+            p for p in range(3, p_max + 1)
+            if all(p % d for d in range(2, p)) and p % 8 in (3, 5)
+            and all(p % ell not in (0, 1, ell - 1) for ell in factors)
+        ]
+        assert out.split() == [str(p) for p in expected], m
+        outputs[m] = out.strip()
+    assert outputs[composite] == "3 53 67"
 
 
 def test_lengths_text(capsys):

@@ -12,8 +12,9 @@ A new entry is produced from the sources before the change it guards: in a
 JSON list to `tests/record_golden.py`, which runs `cli.main(argv)` with
 stdout captured and prints the entry line: the return value and the sha256
 of the captured text.  An error that the change itself introduces, such as a
-new cap, has no parent output and is recorded after the change.  Existing
-entries are never regenerated.
+new cap, has no parent output and is recorded after the change; so is a
+command that the parent cannot finish in reasonable time, such as a scan
+with 2*k_pm+1 near 2*10^12.  Existing entries are never regenerated.
 """
 
 import hashlib

@@ -8,8 +8,8 @@ for the field tables and kernels of wordmaps.gf), both sides of the tau
 identity at a pair of SL2(F_q) elements, the plain trace scan
 (the oracle for wordmaps.gf.trace_scan), the reducible monic polynomials
 over F_p (the oracle for the field modulus), reduced-word enumeration, and
-oracles for proper powers, multiplicative orders and the per-index inertia
-degrees."""
+oracles for proper powers, divisors, multiplicative orders and the per-index
+inertia degrees."""
 
 from __future__ import annotations
 
@@ -239,6 +239,11 @@ def oracle_proper_power(w: Word) -> tuple[bool, Word | None, int | None]:
         if root ** (n // d) == w:
             return True, root, n // d
     return False, None, None
+
+
+def divisors_above_one(n: int) -> list[int]:
+    """The divisors d > 1 of n >= 1, ascending, by testing every d <= n."""
+    return [d for d in range(2, n + 1) if n % d == 0]
 
 
 def multiplicative_order(a: int, n: int) -> int:
