@@ -21,7 +21,6 @@ from .gf import (
     enumerate_image_pairs,
     field_tables,
     make_field,
-    psl2_order,
     sl2_group,
     trace_scan,
 )

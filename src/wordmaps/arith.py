@@ -6,9 +6,10 @@ prime scans with densities, and the admissible word-length residues mod 18."""
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .words import Shape, check_family_index
 
@@ -47,15 +48,17 @@ def is_prime(n: int) -> bool:
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """Sieve of Eratosthenes."""
+    """Sieve of Eratosthenes on the odd numbers: sieve[i] stands for 2i + 1."""
     if limit < 2:
         return []
-    sieve = bytearray((1,)) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(limit) + 1):
+    sieve = bytearray((1,)) * ((limit + 1) // 2)
+    sieve[0] = 0  # 1 is not prime
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, limit + 1) if sieve[i]]
+            p = 2 * i + 1
+            # strike p^2, p^2 + 2p, ...: the indices p^2 // 2 + j*p
+            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(sieve), p)))
+    return [2, *itertools.compress(range(1, limit + 1, 2), sieve)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -149,8 +152,7 @@ def necessary_congruence(k_pm: int) -> bool:
     return k_pm % 3 != 1
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Structured verdict for the three non-surjectivity conditions.  f_i divides
     n exactly when p^n ≡ ±1 mod d = m/gcd(m, i), m = 2*k_pm+1; that holds for some
     d exactly when it holds for some prime l | m.  f_i is searched for when read."""
@@ -213,8 +215,7 @@ def _fraction_decimal(fr: Fraction, places: int = 6) -> str:
     return f"{whole}.{frac:0{places}d}"
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     """Exact counts and the three densities for a prime scan; a scan covers
     p_max >= 3, so total_prime_count >= 2."""
 

@@ -1,4 +1,4 @@
-"""F_(p^n) arithmetic, SL2/PSL2 enumeration, and word-map image reports.
+"""F_(p^n) arithmetic, SL2 enumeration, and word-map image reports.
 
 A field element is its index 0..q-1: the coefficients c_0, ..., c_(n-1)
 of its residue modulo a fixed monic irreducible modulus, read as the
@@ -8,17 +8,17 @@ modulus for (p, n) is deterministic — the first irreducible among the
 monic degree-n candidates ordered lexicographically on the coefficient
 tuple compared low-degree-first, found by trial division — so every report
 reproduces bit-for-bit across machines.  SL2(F_q) is the determinant-1
-filter over F_q^4.  Enumeration orders are fixed and reports carry no
-timing, so two identical runs give identical reports.  Odd characteristic
-only.
+filter over F_q^4; the pairs kernel pairs it with one representative of
+each GL2(F_q)-class of SL2(F_q).  Enumeration orders are fixed and
+reports carry no timing, so two identical runs give identical reports.
+Odd characteristic only.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import is_prime
 from .tracepoly import tau
@@ -32,9 +32,9 @@ class BudgetExceededError(ValueError):
 
 
 def check_budget(method: str, q: int, budget: int = DEFAULT_BUDGET) -> int:
-    """The number of evaluations an image method makes over F_q: every pair
-    of SL2(F_q)^2, (q(q^2-1))^2, for "pairs", every triple of F_q^3, q^3,
-    for "scan".  Raises BudgetExceededError when it is over the budget
+    """The budget count of an image method over F_q, the cases its verdict
+    covers: every pair of SL2(F_q)^2, (q(q^2-1))^2, for "pairs", every
+    triple of F_q^3, q^3, for "scan".  Raises BudgetExceededError when it is over the budget
     (default 10^8).  Needs q alone, so it can run before q is factored or
     the field is built."""
     total = (q * (q * q - 1)) ** 2 if method == "pairs" else q**3
@@ -99,8 +99,7 @@ def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(NamedTuple):
     """F_(p^n) presented as F_p[x]/(modulus); modulus is monic, stored
     low-degree-first with length n+1."""
 
@@ -196,22 +195,20 @@ def sl2_group(field: FieldSpec) -> tuple[tuple[int, int, int, int], ...]:
     )
 
 
-def psl2_order(q: int) -> int:
-    return q * (q * q - 1) // 2
-
-
-@dataclass(frozen=True)
-class ImageReport:
+class ImageReport(NamedTuple):
     """Verdict of an image enumeration or trace-surface scan.
 
     `image_traces` holds the attained traces as field indices (see
     field_tables), so 0 is the trace of an involution, and
     `misses_involutions` says that 0 is not among them.  `count` is the
-    number of pair evaluations (pairs method) or the q^3 trace triples
-    the scan covers (scan method); `surjective` is only meaningful for the
+    budget count, the cases the verdict covers rather than the evaluations
+    made: the (q(q^2-1))^2 pairs of SL2(F_q)^2 (pairs method, which
+    evaluates the word on (q + 2) q (q^2-1) of them, see
+    enumerate_image_pairs) or the q^3 trace triples (scan method, which
+    stops early, see trace_scan); `surjective` is only meaningful for the
     pairs method and stays None for the scan, whose traces are exactly
-    the image's (see trace_scan) but do not decide surjectivity.  Reports
-    carry no timing, so identical runs give identical reports.
+    the image's but do not decide surjectivity.  Reports carry no timing,
+    so identical runs give identical reports.
     """
 
     field: FieldSpec
@@ -241,25 +238,40 @@ class ImageReport:
 
 
 def enumerate_image_pairs(w: Word, field: FieldSpec, budget: int = DEFAULT_BUDGET) -> ImageReport:
-    """Evaluate w on every pair in SL2(F_q)^2 and collect the image in
-    PSL2(F_q), keying each matrix m by min(m, -m) (w(±x, ±y) differs from
-    w(x, y) by a sign only).
+    """The image of w on SL2(F_q)^2 in PSL2(F_q), from the pairs (x, y) with
+    x one of q + 2 class representatives and y any element of sl2_group.
 
-    Reports the attained traces, whether any trace-0 element (an
-    involution of PSL2) is hit, and whether the PSL2 image is all of
-    PSL2(F_q).  Raises BudgetExceededError when |SL2|^2 exceeds the
-    budget (default 10^8); use trace_scan for those fields.
+    A non-scalar matrix of SL2(F_q) with trace t is conjugate under
+    GL2(F_q) to the companion matrix [0 -1; 1 t] of its characteristic
+    polynomial, so +-1 and these q matrices represent every GL2-class.
+    Conjugating a pair by g in GL2(F_q) keeps it in SL2(F_q)^2 and
+    conjugates w(x, y), so the pairs with x a representative meet every
+    orbit: the attained traces are exactly those of all |SL2|^2 pairs, and
+    the image is the union of the PGL2(F_q)-classes that these pairs hit.
+    For odd q the PGL2-classes of PSL2(F_q) are {1}, the unipotents, and one
+    class per +-t with t != +-2.  So w is surjective exactly when every +-t
+    with t != +-2 is attained and some w(x, y) != +-1 has trace +-2; {1} is
+    always hit, by w(1, 1).
+
+    `count` stays (q(q^2-1))^2, the pairs the verdict covers and the budget
+    count; the loop makes (q + 2) q (q^2-1) evaluations.  Raises
+    BudgetExceededError when (q(q^2-1))^2 exceeds the budget (default
+    10^8); use trace_scan for those fields.
     """
     total = check_budget("pairs", field.q, budget)
     add, mul = field_tables(field)
     neg = mul[field.p - 1]  # negation is the product by -1, whose index is p - 1
+    twos = (2, neg[2])  # an integer below p is its own index, and p >= 3
     group = sl2_group(field)
     letters = w.letters
+    reps = [(1, 0, 0, 1), (neg[1], 0, 0, neg[1])]
+    reps += [(0, neg[1], 1, t) for t in range(field.q)]
     # the inverse of [a b; c d] with determinant 1 is [d -b; -c a]
     ginv = [(d, neg[b], neg[c], a) for a, b, c, d in group]
     traces: set[int] = set()
-    images: set[tuple[int, int, int, int]] = set()
-    for x, xi in zip(group, ginv):
+    unipotent = False
+    for x in reps:
+        xi = (x[3], neg[x[1]], neg[x[2]], x[0])
         for y, yi in zip(group, ginv):
             mats = {1: x, -1: xi, 2: y, -2: yi}
             a, b, c, d = 1, 0, 0, 1
@@ -270,14 +282,18 @@ def enumerate_image_pairs(w: Word, field: FieldSpec, budget: int = DEFAULT_BUDGE
                     add[ra[e]][rb[g]], add[ra[f]][rb[h]],
                     add[rc[e]][rd[g]], add[rc[f]][rd[h]],
                 )
-            traces.add(add[a][d])
-            images.add(min((a, b, c, d), (neg[a], neg[b], neg[c], neg[d])))
+            trace = add[a][d]
+            traces.add(trace)
+            if trace in twos and (b or c or a != d):  # not +-1
+                unipotent = True
     return ImageReport(
         field=field,
         word=str(w),
         method="pairs",
         image_traces=frozenset(traces),
-        surjective=len(images) == psl2_order(field.q),
+        surjective=unipotent and all(
+            t in traces or neg[t] in traces for t in range(field.q) if t not in twos
+        ),
         count=total,
     )
 

@@ -51,6 +51,14 @@ def test_is_prime_bound():
         is_prime(10**15 + 37)
 
 
+def test_primes_up_to_matches_trial_division():
+    primes = []
+    for limit in range(-1, 2001):
+        if limit >= 2 and all(limit % p for p in primes if p * p <= limit):
+            primes.append(limit)
+        assert primes_up_to(limit) == primes, limit
+
+
 def test_primes_up_to_matches_count():
     ps = primes_up_to(10_000)
     assert len(ps) == 1229

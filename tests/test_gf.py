@@ -10,13 +10,21 @@ from wordmaps.gf import (
     enumerate_image_pairs,
     field_tables,
     make_field,
-    psl2_order,
     sl2_group,
     trace_scan,
 )
 from wordmaps.tracepoly import TracePolynomial, tau
-from wordmaps.words import Shape, Word, family_word, parse_word
-from util import FqElement, Mat2, eval_word, field_elements, oracle_trace_scan, reducible_monics
+from wordmaps.words import Shape, Word, family_word, parse_word, standard_corpus
+from util import (
+    FqElement,
+    Mat2,
+    eval_word,
+    field_elements,
+    oracle_image_pairs,
+    oracle_trace_scan,
+    psl2_order,
+    reducible_monics,
+)
 
 
 # -- deterministic modulus selection --
@@ -363,6 +371,22 @@ def test_pairs_kernel_matches_oracle(p):
         assert set(report.image_traces) == traces, str(w)
         assert report.misses_involutions == misses, str(w)
         assert report.surjective == surjective, str(w)
+
+
+def test_pairs_kernel_matches_full_enumeration():
+    # x over the class representatives against x over all of SL2(F_q):
+    # the whole report, so traces, count and surjective all agree
+    cases = [(w, make_field(p, 1)) for p in (3, 5) for w in standard_corpus()]
+    words = [parse_word(text) for text in KERNEL_WORDS]
+    words += [family_word(Shape.X2_YK, inner, 2) for inner in (1, -1)]
+    cases += [(w, make_field(p, n)) for p, n in ((7, 1), (3, 2)) for w in words]
+    reports = []
+    for w, field in cases:
+        report = enumerate_image_pairs(w, field)
+        assert report == oracle_image_pairs(w, field), (str(w), field.q)
+        reports.append(report)
+    # a miss that is not an involution's exercises the +-t and unipotent clauses
+    assert any(r.surjective is False and not r.misses_involutions for r in reports)
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2)])

@@ -1,7 +1,10 @@
 """The README promises no runtime dependency: every absolute import in the
-package's modules names a standard-library module."""
+package's modules names a standard-library module.  The CLI's import also
+stays lean, as every command pays for it."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,3 +26,12 @@ def test_package_imports_only_the_standard_library():
             foreign += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert not foreign
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # dataclasses imports inspect, which brings ast, dis and tokenize
+    code = "import sys, wordmaps.cli; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    src = str(Path(wordmaps.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.split() == []

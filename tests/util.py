@@ -5,8 +5,9 @@ oracle checks against the symbolic trace machinery), the letter walk of tau on
 TracePolynomial arithmetic (the oracle for the packed walk of
 wordmaps.tracepoly), an F_q element and SL2(F_q) matrix type (the oracle
 for the field tables and kernels of wordmaps.gf), both sides of the tau
-identity at a pair of SL2(F_q) elements, the plain trace scan
-(the oracle for wordmaps.gf.trace_scan), the reducible monic polynomials
+identity at a pair of SL2(F_q) elements, the full pair enumeration and the
+plain trace scan (the oracles for wordmaps.gf.enumerate_image_pairs and
+trace_scan), the reducible monic polynomials
 over F_p (the oracle for the field modulus), reduced-word enumeration, and
 oracles for proper powers, divisors, multiplicative orders and the per-index
 inertia degrees."""
@@ -20,7 +21,7 @@ from typing import Iterator
 
 from hypothesis import settings
 
-from wordmaps.gf import DEFAULT_BUDGET, FieldSpec, ImageReport, check_budget, field_tables
+from wordmaps.gf import DEFAULT_BUDGET, FieldSpec, ImageReport, check_budget, field_tables, sl2_group
 from wordmaps.tracepoly import S, T, U, TracePolynomial, tau
 from wordmaps.words import ALPHABET, Word, WordSyntaxError, commutator
 
@@ -490,5 +491,46 @@ def oracle_trace_scan(w: Word, field: FieldSpec, budget: int = DEFAULT_BUDGET) -
         method="scan",
         image_traces=frozenset(attained),
         surjective=None,
+        count=total,
+    )
+
+
+def psl2_order(q: int) -> int:
+    return q * (q * q - 1) // 2
+
+
+def oracle_image_pairs(w: Word, field: FieldSpec, budget: int = DEFAULT_BUDGET) -> ImageReport:
+    """The full pair enumeration: w evaluated on every pair of
+    SL2(F_q)^2 through the field tables, each image matrix m keyed by
+    min(m, -m) (w(+-x, +-y) differs from w(x, y) by a sign only), and
+    `surjective` when psl2_order(q) keys are met."""
+    total = check_budget("pairs", field.q, budget)
+    add, mul = field_tables(field)
+    neg = mul[field.p - 1]  # negation is the product by -1, whose index is p - 1
+    group = sl2_group(field)
+    letters = w.letters
+    # the inverse of [a b; c d] with determinant 1 is [d -b; -c a]
+    ginv = [(d, neg[b], neg[c], a) for a, b, c, d in group]
+    traces: set[int] = set()
+    images: set[tuple[int, int, int, int]] = set()
+    for x, xi in zip(group, ginv):
+        for y, yi in zip(group, ginv):
+            mats = {1: x, -1: xi, 2: y, -2: yi}
+            a, b, c, d = 1, 0, 0, 1
+            for letter in letters:
+                e, f, g, h = mats[letter]
+                ra, rb, rc, rd = mul[a], mul[b], mul[c], mul[d]
+                a, b, c, d = (
+                    add[ra[e]][rb[g]], add[ra[f]][rb[h]],
+                    add[rc[e]][rd[g]], add[rc[f]][rd[h]],
+                )
+            traces.add(add[a][d])
+            images.add(min((a, b, c, d), (neg[a], neg[b], neg[c], neg[d])))
+    return ImageReport(
+        field=field,
+        word=str(w),
+        method="pairs",
+        image_traces=frozenset(traces),
+        surjective=len(images) == psl2_order(field.q),
         count=total,
     )
