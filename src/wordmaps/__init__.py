@@ -9,7 +9,6 @@ from .arith import (
     check_nonsurjectivity_conditions,
     inertia_degree,
     is_prime,
-    is_square_mod,
     length_residues,
     necessary_congruence,
     scan_primes,

@@ -1,7 +1,7 @@
-"""Number-theoretic side: primality, factorization, quadratic residues,
-inertia degrees in real cyclotomic subfields, the non-surjectivity
-conditions (one congruence per prime factor of the cyclotomic modulus),
-prime scans with densities, and the admissible word-length residues mod 18."""
+"""Number-theoretic side: primality, factorization, inertia degrees in real
+cyclotomic subfields, the non-surjectivity conditions (p mod 8, the parity
+of n, and one congruence per prime factor of the cyclotomic modulus), prime
+scans with densities, and the admissible word-length residues mod 18."""
 
 from __future__ import annotations
 
@@ -15,9 +15,13 @@ from .words import Shape, check_family_index
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17)
 # Jaeschke: the bases above are a deterministic witness set below this bound.
+# It also bounds factorize, at about 9*10^6 trial divisions.
 _MR_LIMIT = 341_550_071_728_321
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# The largest p_max of a prime scan: a 50 MB sieve and 5.76 M primes.
+MAX_SCAN_BOUND = 10**8
 
 
 def is_prime(n: int) -> bool:
@@ -63,7 +67,7 @@ def primes_up_to(limit: int) -> list[int]:
 
 @functools.lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """The (prime, exponent) pairs of n >= 1, primes ascending, by trial division.
+    """The (prime, exponent) pairs of 1 <= n < _MR_LIMIT, primes ascending, by trial division.
 
     >>> factorize(2_000_000_000_005)
     ((5, 1), (7, 1), (19, 3), (41, 1), (317, 1), (641, 1))
@@ -72,6 +76,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    if n >= _MR_LIMIT:
+        raise ValueError(f"n must be below the trial-division bound {_MR_LIMIT}, got {n}")
     pairs = []
     d = 2
     while d * d <= n:
@@ -96,17 +102,10 @@ def odd_prime_power(q: int) -> tuple[int, int]:
     Traceback (most recent call last):
     ValueError: 15 is not an odd prime power
     """
-    if q < 3 or q % 2 == 0 or len(factorize(q)) != 1:
+    pairs = factorize(q) if q >= 3 and q % 2 else ()
+    if len(pairs) != 1:
         raise ValueError(f"{q} is not an odd prime power")
-    return factorize(q)[0]
-
-
-def is_square_mod(a: int, p: int) -> bool:
-    """Euler criterion a^((p-1)/2) mod p; multiples of p count as squares."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    a %= p
-    return a == 0 or pow(a, (p - 1) // 2, p) == 1
+    return pairs[0]
 
 
 class RamifiedPrimeError(ValueError):
@@ -153,17 +152,27 @@ def necessary_congruence(k_pm: int) -> bool:
 
 
 class ConditionReport(NamedTuple):
-    """Structured verdict for the three non-surjectivity conditions.  f_i divides
-    n exactly when p^n ≡ ±1 mod d = m/gcd(m, i), m = 2*k_pm+1; that holds for some
-    d exactly when it holds for some prime l | m.  f_i is searched for when read."""
+    """The three non-surjectivity conditions, derived from the inputs, which
+    check_nonsurjectivity_conditions validates.  f_i divides n exactly when
+    p^n ≡ ±1 mod d = m/gcd(m, i), m = 2*k_pm+1; that holds for some d exactly
+    when it holds for some prime l | m.  f_i is searched for when read."""
 
     p: int
     n: int
     k: int
     shape: Shape
-    k_pm: int
-    cond1: bool  # 2 is not a square mod p
-    cond2: bool  # n is odd
+
+    @property
+    def k_pm(self) -> int:
+        return self.shape.kpm(self.k)
+
+    @property
+    def cond1(self) -> bool:  # 2 is not a square mod p (second supplementary law)
+        return self.p % 8 in (3, 5)
+
+    @property
+    def cond2(self) -> bool:  # n is odd
+        return self.n % 2 == 1
 
     @property
     def cond3(self) -> bool:  # no inertia degree f_i divides n
@@ -188,22 +197,20 @@ class ConditionReport(NamedTuple):
 
 
 def check_nonsurjectivity_conditions(p: int, n: int, k: int, which: Shape) -> ConditionReport:
-    """Evaluate exactly, for the word shape `which` at index k over F_(p^n):
-    (1) 2 is a non-square mod p, (2) n is odd, (3) no inertia degree of p
-    in Q(zeta^i + zeta^(-i)) for the (2*k_pm+1)-th roots divides n.  The
-    cost is one cached factorization of 2*k_pm+1, then one pow per prime factor."""
+    """The report for the word shape `which` at index k over F_(p^n), once p is
+    checked to be an odd prime prime to 2*k_pm+1, and n and k_pm to be >= 1:
+    (1) 2 is a non-square mod p, (2) n is odd, (3) no inertia degree of p in
+    Q(zeta^i + zeta^(-i)) for the (2*k_pm+1)-th roots of unity divides n."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    k_pm = which.kpm(k)
-    if k_pm < 1:
-        raise ValueError(f"shape {which.value} with k={k} has effective index {k_pm} < 1")
-    m = 2 * k_pm + 1
-    if m % p == 0:
+    report = ConditionReport(p, n, k, which)
+    if report.k_pm < 1:
+        raise ValueError(f"shape {which.value} with k={k} has effective index {report.k_pm} < 1")
+    if (m := 2 * report.k_pm + 1) % p == 0:
         raise RamifiedPrimeError(f"p={p} divides 2*k_pm+1={m}")
-    return ConditionReport(p=p, n=n, k=k, shape=which, k_pm=k_pm, cond1=not is_square_mod(2, p),
-                           cond2=n % 2 == 1)
+    return report
 
 
 def _fraction_decimal(fr: Fraction, places: int = 6) -> str:
@@ -247,17 +254,17 @@ class DensityReport(NamedTuple):
 def scan_primes(k_pm: int, p_max: int) -> tuple[list[int], DensityReport]:
     """Odd primes p <= p_max for which check_nonsurjectivity_conditions(p, 1,
     k_pm, Shape.X2_YK) holds; a prime dividing 2*k_pm+1 (RamifiedPrimeError)
-    is not kept.
+    is not kept.  p_max <= MAX_SCAN_BOUND, and factorize bounds 2*k_pm+1.
 
-    The verdict is computed once per residue class of p mod 8*(2*k_pm+1):
-    it depends on p only through p mod 8 (2 is a non-square mod p) and p mod
-    each prime factor l of 2*k_pm+1, and a class that holds a prime dividing
-    2*k_pm+1 holds no other prime.  The cost is one trial-division
-    factorization of 2*k_pm+1, then one modular power per prime factor per
-    residue class met.  tests/test_arith.py checks the result per prime
-    against fresh evaluations and against the sieve criterion "p ≡ 3, 5
-    (mod 8) and p^2 not ≡ 1 modulo any divisor d > 1 of 2*k_pm+1".  The
-    report carries the empirical density among all primes <= p_max next to
+    The sieve proves p prime and `m % p` tests ramification, so the report is
+    built unchecked, once per residue class of p mod 8*(2*k_pm+1): its verdict
+    depends on p only through p mod 8 and p mod each prime factor l of
+    2*k_pm+1, and a class that holds a prime dividing 2*k_pm+1 holds no other
+    prime.  The cost is one trial-division factorization of 2*k_pm+1, then one
+    modular power per prime factor per residue class met.  tests/test_arith.py
+    checks the kept primes against fresh evaluations and the sieve criterion
+    "p ≡ 3, 5 (mod 8) and p^2 not ≡ 1 modulo any divisor d > 1 of 2*k_pm+1".
+    The report carries the empirical density among all primes <= p_max next to
     the printed density (1/2)*prod(1 - 3/l) and the Dirichlet density
     (1/2)*prod((l-3)/(l-1)) over the prime factors l of 2*k_pm+1.
     """
@@ -267,21 +274,22 @@ def scan_primes(k_pm: int, p_max: int) -> tuple[list[int], DensityReport]:
         raise CongruenceError(f"k_pm={k_pm} is 1 mod 3: 2*k_pm+1 is divisible by 3, the real "
                               f"subfield for i=(2*k_pm+1)/3 is rational, and its inertia degree "
                               f"is always 1, so no prime qualifies")
+    if p_max > MAX_SCAN_BOUND:
+        raise ValueError(f"p_max must be <= {MAX_SCAN_BOUND}, got {p_max}")
     m = 2 * k_pm + 1
+    printed = dirichlet = Fraction(1, 2)
+    for ell, _ in factorize(m):
+        printed *= 1 - Fraction(3, ell)
+        dirichlet *= Fraction(ell - 3, ell - 1)
     primes = primes_up_to(p_max)
     verdicts: dict[int, bool] = {}
     kept = []
     for p in primes[1:]:  # primes[0] == 2
         r = p % (8 * m)
         if r not in verdicts:  # a prime dividing m is ramified and not kept
-            verdicts[r] = m % p != 0 and check_nonsurjectivity_conditions(
-                p, 1, k_pm, Shape.X2_YK).verdict
+            verdicts[r] = m % p != 0 and ConditionReport(p, 1, k_pm, Shape.X2_YK).verdict
         if verdicts[r]:
             kept.append(p)
-    printed = dirichlet = Fraction(1, 2)
-    for ell, _ in factorize(m):
-        printed *= 1 - Fraction(3, ell)
-        dirichlet *= Fraction(ell - 3, ell - 1)
     return kept, DensityReport(k_pm=k_pm, x=p_max, matching_prime_count=len(kept),
                                total_prime_count=len(primes), printed_density=printed,
                                dirichlet_density=dirichlet)

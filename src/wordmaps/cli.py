@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--family", help="family mini-syntax, e.g. 'x2yk:+,k=2'")
     sub.add_argument("--method", required=True, choices=("pairs", "scan"))
     sub.add_argument("--budget", type=int, default=gf.DEFAULT_BUDGET,
-                     help=f"evaluation budget (default {gf.DEFAULT_BUDGET})")
+                     help=f"budget on the pairs or triples covered (default {gf.DEFAULT_BUDGET})")
     _add_format(sub, "json")
     sub.set_defaults(func=cmd_image)
 

@@ -28,7 +28,7 @@ DEFAULT_BUDGET = 10**8
 
 
 class BudgetExceededError(ValueError):
-    """An enumeration would exceed its evaluation budget."""
+    """An enumeration would cover more cases than its budget."""
 
 
 def check_budget(method: str, q: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -39,16 +39,16 @@ def check_budget(method: str, q: int, budget: int = DEFAULT_BUDGET) -> int:
     the field is built."""
     total = (q * (q * q - 1)) ** 2 if method == "pairs" else q**3
     if total > budget:
-        what, hint = (
-            ("pair enumeration", "; use trace_scan instead")
+        what, cases, hint = (
+            ("pair enumeration", "pairs", "; use trace_scan instead")
             if method == "pairs"
-            else ("trace scan", "")
+            else ("trace scan", "triples", "")
         )
         # both counts are at least q: past the budget, q says enough, and
         # the count may be too long to print
-        need = total if q <= budget else f"more than {budget}"
+        covers = total if q <= budget else f"more than {budget}"
         raise BudgetExceededError(
-            f"{what} needs {need} evaluations, over the budget {budget}{hint}"
+            f"{what} covers {covers} {cases}, over the budget {budget}{hint}"
         )
     return total
 

@@ -7,12 +7,12 @@ import pytest
 from wordmaps import arith
 from wordmaps.arith import (
     CongruenceError,
+    ConditionReport,
     RamifiedPrimeError,
     check_nonsurjectivity_conditions,
     factorize,
     inertia_degree,
     is_prime,
-    is_square_mod,
     length_residues,
     necessary_congruence,
     odd_prime_power,
@@ -79,6 +79,13 @@ def test_factorize_matches_brute_force():
             factorize(bad)
 
 
+def test_factorize_bound():
+    # is_prime's bound caps trial division at about 9*10^6 steps
+    for big in (arith._MR_LIMIT, arith._MR_LIMIT + 2, 10**30):
+        with pytest.raises(ValueError, match="trial-division bound"):
+            factorize(big)
+
+
 def test_odd_prime_power():
     assert odd_prime_power(27) == (3, 3)
     assert odd_prime_power(13) == (13, 1)
@@ -102,39 +109,6 @@ def test_odd_prime_power_matches_brute_force():
         else:
             with pytest.raises(ValueError):
                 odd_prime_power(q)
-
-
-# -- quadratic residues --
-
-def test_is_square_mod_examples():
-    assert is_square_mod(2, 7) is True    # 7 = -1 mod 8
-    assert is_square_mod(2, 3) is False
-    assert is_square_mod(2, 5) is False
-    assert is_square_mod(2, 13) is False  # 13 = 5 mod 8
-    assert is_square_mod(0, 11) is True
-    assert is_square_mod(22, 11) is True
-
-
-def test_is_square_mod_against_exhaustive_squares():
-    for p in (3, 5, 7, 11, 13, 17, 19, 23):
-        squares = {a * a % p for a in range(p)}
-        for a in range(2 * p):
-            assert is_square_mod(a, p) == (a % p in squares)
-
-
-def test_is_square_mod_second_supplement():
-    # 2 is a square mod p exactly when p = +-1 mod 8
-    for p in primes_up_to(500):
-        if p == 2:
-            continue
-        assert is_square_mod(2, p) == (p % 8 in (1, 7))
-
-
-def test_is_square_mod_rejects_bad_p():
-    with pytest.raises(ValueError):
-        is_square_mod(2, 9)
-    with pytest.raises(ValueError):
-        is_square_mod(2, 2)
 
 
 # -- inertia degrees --
@@ -234,6 +208,17 @@ def test_conditions_ramified_and_degenerate():
         check_nonsurjectivity_conditions(5, 1, 2, Shape.X2_YK)
     with pytest.raises(ValueError):
         check_nonsurjectivity_conditions(3, 1, 1, Shape.XNEG2_YK)  # k_pm = 0
+    # the entry checks p, then n, then k_pm, then ramification
+    for args, message in [
+        ((2, 1, 2), "p must be an odd prime, got 2"),
+        ((9, 0, 0), "p must be an odd prime, got 9"),
+        ((3, 0, 0), "n must be >= 1, got 0"),
+        ((3, 1, 0), "shape x2yk with k=0 has effective index 0 < 1"),
+        ((3, 1, 4), "p=3 divides 2*k_pm+1=9"),
+    ]:
+        with pytest.raises(ValueError) as excinfo:
+            check_nonsurjectivity_conditions(*args, Shape.X2_YK)
+        assert str(excinfo.value) == message
 
 
 def test_condition_report_matches_per_index_oracle():
@@ -270,7 +255,16 @@ def test_verdicts_never_search_inertia_degrees(monkeypatch):
         check_nonsurjectivity_conditions(3, 5, 437, Shape.X2_YK).to_dict()
 
 
+def test_cond1_is_two_not_a_square():
+    # the second supplementary law, against the squares mod p by brute force
+    for p in primes_up_to(2000)[1:]:
+        squares = {x * x % p for x in range(p)}
+        assert ConditionReport(p, 1, 1, Shape.X2_YK).cond1 == (2 not in squares), p
+
+
 def test_condition_report_is_hashable_and_keeps_its_keys():
+    # a record of its inputs; everything else is derived
+    assert ConditionReport._fields == ("p", "n", "k", "shape")
     report = check_nonsurjectivity_conditions(3, 5, 437, Shape.X2_YK)
     assert hash(report) == hash(check_nonsurjectivity_conditions(3, 5, 437, Shape.X2_YK))
     assert list(report.to_dict()) == [
@@ -299,6 +293,17 @@ def test_scan_primes_k2_to_100():
 def test_scan_primes_congruence_precondition():
     with pytest.raises(CongruenceError):
         scan_primes(4, 100)
+
+
+def test_scan_primes_does_not_reprove_its_primes(monkeypatch):
+    # the sieve proves each p prime and `m % p` tests ramification, so no
+    # verdict of the scan runs the entry's Miller-Rabin check
+    def refuse(*args):
+        raise AssertionError("is_prime called by scan_primes")
+
+    monkeypatch.setattr(arith, "is_prime", refuse)
+    primes, report = scan_primes(12, 10**5)
+    assert report.matching_prime_count == len(primes) > 0
 
 
 def test_scanned_primes_pass_conditions_at_n_1():

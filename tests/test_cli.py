@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import wordmaps
+from wordmaps import arith
 from wordmaps.cli import build_parser, main
 from wordmaps.words import parse_word
 
@@ -256,6 +257,18 @@ def test_image_budget_checked_before_field_is_built(capsys, field, method):
     assert "budget" in err
 
 
+def test_image_budget_message_counts_covered_cases(capsys):
+    # the budget counts the pairs or triples a verdict covers; the pairs
+    # loop itself makes (q + 2)·|SL2| = 25·12,144 evaluations at q = 23
+    code, out, err = run(capsys, "image", "--q", "23", "--word", "[x1,x2]", "--method", "pairs")
+    assert (code, out) == (2, "")
+    assert err == ("error: pair enumeration covers 147476736 pairs, over the budget "
+                   "100000000; use trace_scan instead\n")
+    code, out, err = run(capsys, "image", "--q", "467", "--word", "x1", "--method", "scan")
+    assert (code, out) == (2, "")
+    assert err == "error: trace scan covers 101847563 triples, over the budget 100000000\n"
+
+
 def test_image_budget_env_override(capsys):
     code, _, err = run(capsys, "image", "--q", "3", "--word", "x1", "--method", "pairs", "--budget", "10")
     assert code == 2
@@ -355,6 +368,42 @@ def test_density_cost_is_per_divisor_not_per_index(capsys):
     assert time.perf_counter() - start < 4.0
     assert code == 0
     assert json_lines(out)[0]["total_prime_count"] == 2262
+
+
+def test_density_scan_reproves_no_prime(capsys):
+    # most of the 78,497 odd primes meet a residue class mod 8*40001 of
+    # their own; the scan builds those reports unchecked instead of running
+    # Miller-Rabin twice per class (2.2 s when it did)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "density", "--kpm", "20000", "--x", "1000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json_lines(out)[0]["total_prime_count"] == 78498
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--kpm", "2", "--p-max", "100000001"),
+        ("density", "--kpm", "2", "--x", "100000001"),
+        ("scan", "--kpm", "2", "--p-max", "1" + "0" * 30),
+        ("scan", "--kpm", "170775035864160", "--p-max", "100"),
+        ("density", "--kpm", "2" + "0" * 30, "--x", "100"),
+    ],
+    ids=["scan-p-max", "density-x", "scan-p-max-1e30", "scan-kpm-at-bound", "density-kpm-2e30"],
+)
+def test_scan_inputs_past_their_bounds(capsys, monkeypatch, argv):
+    # p_max past 10^8 is refused before the sieve allocates, and 2K+1 from
+    # 341550071728321 on (K = 170775035864160 is 0 mod 3) before trial division
+    def refuse(*args):
+        raise AssertionError("primes_up_to called past a bound")
+
+    monkeypatch.setattr(arith, "primes_up_to", refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_scan_cost_is_one_factorization(capsys):
