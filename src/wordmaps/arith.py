@@ -155,7 +155,9 @@ class ConditionReport(NamedTuple):
     """The three non-surjectivity conditions, derived from the inputs, which
     check_nonsurjectivity_conditions validates.  f_i divides n exactly when
     p^n ≡ ±1 mod d = m/gcd(m, i), m = 2*k_pm+1; that holds for some d exactly
-    when it holds for some prime l | m.  f_i is searched for when read."""
+    when it holds for some prime l | m.  f_i is searched for when read.  An
+    unchecked record with p | m has p^n ≡ 0 mod l = p and cond3 false: -2 is
+    then a root of A_kpm mod p, as A_kpm(-2) = ±m."""
 
     p: int
     n: int
@@ -175,9 +177,9 @@ class ConditionReport(NamedTuple):
         return self.n % 2 == 1
 
     @property
-    def cond3(self) -> bool:  # no inertia degree f_i divides n
+    def cond3(self) -> bool:  # no inertia degree f_i divides n, and p does not ramify
         primes = (ell for ell, _ in factorize(2 * self.k_pm + 1))
-        return all(pow(self.p, self.n, ell) not in (1, ell - 1) for ell in primes)
+        return all(pow(self.p, self.n, ell) not in (0, 1, ell - 1) for ell in primes)
 
     @property
     def inertia_degrees(self) -> tuple[int, ...]:  # f_i for i = 1..k_pm
@@ -198,7 +200,8 @@ class ConditionReport(NamedTuple):
 
 def check_nonsurjectivity_conditions(p: int, n: int, k: int, which: Shape) -> ConditionReport:
     """The report for the word shape `which` at index k over F_(p^n), once p is
-    checked to be an odd prime prime to 2*k_pm+1, and n and k_pm to be >= 1:
+    checked to be an odd prime prime to 2*k_pm+1, n and k_pm to be >= 1, and
+    2*k_pm+1 to lie within the bound of factorize:
     (1) 2 is a non-square mod p, (2) n is odd, (3) no inertia degree of p in
     Q(zeta^i + zeta^(-i)) for the (2*k_pm+1)-th roots of unity divides n."""
     if p == 2 or not is_prime(p):
@@ -210,6 +213,7 @@ def check_nonsurjectivity_conditions(p: int, n: int, k: int, which: Shape) -> Co
         raise ValueError(f"shape {which.value} with k={k} has effective index {report.k_pm} < 1")
     if (m := 2 * report.k_pm + 1) % p == 0:
         raise RamifiedPrimeError(f"p={p} divides 2*k_pm+1={m}")
+    factorize(m)  # bounds k here; cond3 reads it from the cache
     return report
 
 
@@ -256,9 +260,9 @@ def scan_primes(k_pm: int, p_max: int) -> tuple[list[int], DensityReport]:
     k_pm, Shape.X2_YK) holds; a prime dividing 2*k_pm+1 (RamifiedPrimeError)
     is not kept.  p_max <= MAX_SCAN_BOUND, and factorize bounds 2*k_pm+1.
 
-    The sieve proves p prime and `m % p` tests ramification, so the report is
-    built unchecked, once per residue class of p mod 8*(2*k_pm+1): its verdict
-    depends on p only through p mod 8 and p mod each prime factor l of
+    The sieve proves p prime, and a prime dividing 2*k_pm+1 fails cond3, so the
+    report is built unchecked, once per residue class of p mod 8*(2*k_pm+1): its
+    verdict depends on p only through p mod 8 and p mod each prime factor l of
     2*k_pm+1, and a class that holds a prime dividing 2*k_pm+1 holds no other
     prime.  The cost is one trial-division factorization of 2*k_pm+1, then one
     modular power per prime factor per residue class met.  tests/test_arith.py
@@ -286,8 +290,8 @@ def scan_primes(k_pm: int, p_max: int) -> tuple[list[int], DensityReport]:
     kept = []
     for p in primes[1:]:  # primes[0] == 2
         r = p % (8 * m)
-        if r not in verdicts:  # a prime dividing m is ramified and not kept
-            verdicts[r] = m % p != 0 and ConditionReport(p, 1, k_pm, Shape.X2_YK).verdict
+        if r not in verdicts:  # a prime dividing m fails cond3 and is not kept
+            verdicts[r] = ConditionReport(p, 1, k_pm, Shape.X2_YK).verdict
         if verdicts[r]:
             kept.append(p)
     return kept, DensityReport(k_pm=k_pm, x=p_max, matching_prime_count=len(kept),

@@ -8,8 +8,8 @@ per line; CSV flattens one record per row.  Every subcommand prints the
 same bytes on every run: `image` reports carry no timing.  A reader that
 closes the pipe early gets no traceback, and the exit code stays the
 command's.  Certificates are computed in `tracepoly`; this module only
-renders them.  `image` names its field by `--q` alone; `conditions --k` and
-`lengths --r-max` exit 2 past the cap of `words.check_family_index`.
+renders them.  `image` names its field by `--q` alone; `verify`'s k range,
+`conditions --k` and `lengths --r-max` exit 2 past `check_family_index`.
 """
 
 from __future__ import annotations
@@ -107,6 +107,9 @@ def cmd_verify(args) -> Result:
     if args.lemma != "swap" and args.k_min < 1:
         note = " (k is k_pm here)" if args.lemma == "cyclotomic" else ""
         raise ValueError(f"{args.lemma} requires k >= 1{note}")
+    # |k| peaks at an end of the range, and the swap lemma's left side is y_(k-1)
+    for k in (args.k_min, args.k_max, args.k_min - (args.lemma == "swap")):
+        words.check_family_index(k)
     signs = {"plus": (1,), "minus": (-1,), "all": (1, -1)}[args.variant]
     shapes = tuple(words.Shape) if args.shape == "all" else (words.Shape(args.shape),)
     certs = list(_certificates(args.lemma, args.k_min, args.k_max, signs, shapes))

@@ -37,14 +37,6 @@ MINUS_SIGN = "−"  # canonical renderer joins terms with " + " / " − "
 
 
 def _mul_terms(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
-    if len(b) > len(a):
-        a, b = b, a
-    if len(b) == 1:
-        ((mb, cb),) = b.items()
-        if mb == (0, 0, 0):
-            return {m: c * cb for m, c in a.items()}
-        ib, jb, kb = mb
-        return {(i + ib, j + jb, k + kb): c * cb for (i, j, k), c in a.items()}
     out: dict[Monomial, int] = {}
     for (ia, ja, ka), ca in a.items():
         for (ib, jb, kb), cb in b.items():
@@ -67,9 +59,7 @@ class TracePolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        self.terms: dict[Monomial, int] = {
-            m: int(c) for m, c in (terms or {}).items() if c
-        }
+        self.terms: dict[Monomial, int] = {m: int(c) for m, c in (terms or {}).items() if c}
 
     @classmethod
     def constant(cls, c: int) -> "TracePolynomial":
@@ -245,54 +235,54 @@ def _combine(*parts: tuple[int, dict[int, int], int]) -> dict[int, int]:
     return out
 
 
+# e*x1 and e*x2 for e = c1*1 + cx*X + cy*Y + cxy*XY by the rules above: each
+# new coordinate as terms ±c*m, an old coordinate c in 1, x, y, xy times a
+# monomial m in s, t, u (XY*X = u*X + Y - t*1 and XY*Y = t*XY - X follow).
+_COORDS = ("1", "x", "y", "xy")
+_RULES = {1: ("-x -y*st +y*u -xy*t", "+1 +x*s +y*t +xy*u", "+y*s +xy", "-y"),
+          2: ("-y", "-xy", "+1 +y*t", "+x +xy*t")}
+
+
+def _inverse_rule(rule: tuple[str, ...], trace: str) -> tuple[str, ...]:
+    """e*L^-1 = tr(L)*e - e*L (Cayley-Hamilton), without the part that cancels."""
+    flip = str.maketrans("+-", "-+")
+    negated = (f"{terms.translate(flip)} +{c}*{trace}".split() for c, terms in zip(_COORDS, rule))
+    return tuple(" ".join(x for x in parts if x.translate(flip) not in parts) for parts in negated)
+
+
+_RULES[-1], _RULES[-2] = _inverse_rule(_RULES[1], "s"), _inverse_rule(_RULES[2], "t")
+
+
+@functools.lru_cache(maxsize=None)
+def _packed_rules(bits: int) -> dict[int, tuple]:
+    """Each rule as _combine parts (sign, coordinate, shift) on keys of width bits."""
+    shift = {"s": 1 << 2 * bits, "t": 1 << bits, "u": 1}
+    return {letter: tuple(tuple((int(term[0] + "1"), _COORDS.index(c), sum(shift[v] for v in m))
+                                for term in terms.split() for c, _, m in [term[1:].partition("*")])
+                          for terms in rule) for letter, rule in _RULES.items()}
+
+
+def _step(e: list[dict[int, int]], rule: tuple) -> list[dict[int, int]]:
+    """e times a letter by its packed rule: one _combine pass per coordinate."""
+    return [_combine(*[(sign, e[i], shift) for sign, i, shift in parts]) for parts in rule]
+
+
 @functools.lru_cache(maxsize=4096)
 def tau(w: Word) -> TracePolynomial:
     """Trace polynomial of w: for every field and every determinant-1 pair
     (x, y), tr(w(x, y)) = tau(w)(tr x, tr y, tr xy).
 
-    Trace is a class function, so only the cyclically reduced core of w
-    is walked: e = c1*1 + cx*X + cy*Y + cxy*XY letter by letter, e -> e*X
-    or e*Y by the rules above, and e -> e*X^-1 = s*e - e*X or
-    e*Y^-1 = t*e - e*Y expanded into direct formulas.  Each new coordinate
-    is one dict built from shifted copies of the old ones, on the packed
-    keys of the module docstring: bits = (len(w) + 2).bit_length() gives
-    B = 2^bits > len(w) + 2, above every exponent.  The keys are unpacked
-    to exponent triples once, at the end."""
+    Trace is a class function, so only the cyclically reduced core of w is
+    walked, one _step per letter from e = 1, on the packed keys of the module
+    docstring; they are unpacked once, at the end."""
     w = cyclic_reduce(w)[1]
-    bits = (len(w) + 2).bit_length()  # every exponent is <= len(w) + 1 < 2^bits
-    s, t, u = 1 << 2 * bits, 1 << bits, 1
-    c1, cx, cy, cxy = {0: 1}, {}, {}, {}
+    bits = (len(w) + 2).bit_length()  # every exponent is <= len(w) + 1 < 2^bits = B
+    rules = _packed_rules(bits)
+    e = [{0: 1}, {}, {}, {}]
     for letter in w:
-        if letter == 1:
-            c1, cx, cy, cxy = (
-                _combine((-1, cx, 0), (-1, cy, s + t), (1, cy, u), (-1, cxy, t)),
-                _combine((1, c1, 0), (1, cx, s), (1, cy, t), (1, cxy, u)),
-                _combine((1, cy, s), (1, cxy, 0)),
-                _combine((-1, cy, 0)),
-            )
-        elif letter == -1:
-            c1, cx, cy, cxy = (
-                _combine((1, cx, 0), (1, c1, s), (1, cy, s + t), (-1, cy, u), (1, cxy, t)),
-                _combine((-1, c1, 0), (-1, cy, t), (-1, cxy, u)),
-                _combine((-1, cxy, 0)),
-                _combine((1, cy, 0), (1, cxy, s)),
-            )
-        elif letter == 2:
-            c1, cx, cy, cxy = (
-                _combine((-1, cy, 0)),
-                _combine((-1, cxy, 0)),
-                _combine((1, c1, 0), (1, cy, t)),
-                _combine((1, cx, 0), (1, cxy, t)),
-            )
-        else:
-            c1, cx, cy, cxy = (
-                _combine((1, c1, t), (1, cy, 0)),
-                _combine((1, cx, t), (1, cxy, 0)),
-                _combine((-1, c1, 0)),
-                _combine((-1, cx, 0)),
-            )
+        e = _step(e, rules[letter])
+    (c1, cx, cy, cxy), s, t, u, mask = e, 1 << 2 * bits, 1 << bits, 1, (1 << bits) - 1
     trace = _combine((1, c1, 0), (1, c1, 0), (1, cx, s), (1, cy, t), (1, cxy, u))
-    mask = t - 1
     return TracePolynomial({(m >> 2 * bits, (m >> bits) & mask, m & mask): c for m, c in trace.items()})
 
 

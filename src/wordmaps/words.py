@@ -317,6 +317,12 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     return Word(letters[:lo]), Word(letters[lo:hi])
 
 
+def _cyclic_bytes(core: Word) -> bytes:
+    """The letters as bytes, for substring search: l % 5 sends the letters
+    1, -1, 2, -2 to the distinct bytes 1, 4, 2, 3."""
+    return bytes(l % 5 for l in core.letters)
+
+
 def trace_equivalent(a: Word, b: Word) -> bool:
     """Whether a is conjugate in F_2 to b or to b^-1: the cyclically
     reduced core of a is a cyclic rotation of the core of b or of ~b.
@@ -331,32 +337,27 @@ def trace_equivalent(a: Word, b: Word) -> bool:
     >>> trace_equivalent(parse_word("x1^2 x2^-1"), parse_word("x1^-1 x2 x1^-1"))
     True
     """
-    # l % 5 sends the letters 1, -1, 2, -2 to the distinct bytes 1, 4, 2, 3
-    core, other, other_inverse = (
-        bytes(l % 5 for l in cyclic_reduce(w)[1].letters) for w in (a, b, ~b)
-    )
+    core, other, other_inverse = (_cyclic_bytes(cyclic_reduce(w)[1]) for w in (a, b, ~b))
     return len(core) == len(other) and (core in other * 2 or core in other_inverse * 2)
 
 
 def is_proper_power(w: Word) -> tuple[bool, Word | None, int | None]:
     """Decide whether w = v^m for some nontrivial v and m >= 2.
 
-    Cyclically reduce, test string periodicity of the core over the
-    divisors of its length (smallest period first, so the returned root
-    is primitive and the exponent maximal), then conjugate the root back
-    so that root ** exponent == w itself.  Raises ValueError on the
-    empty word.
+    Cyclically reduce; the primitive period d of the core c is the first
+    offset at which c occurs in c + c, so w is a proper power exactly when
+    d < |c|, with the primitive root c[:d] and the maximal exponent |c|/d.
+    The root is conjugated back so that root ** exponent == w itself.
+    Raises ValueError on the empty word.
     """
     if not w.letters:
         raise ValueError("the empty word has no proper-power decomposition")
     conj, core = cyclic_reduce(w)
-    letters = core.letters
-    n = len(letters)
-    for d in range(1, n):
-        if n % d == 0 and letters[d:] == letters[:-d]:
-            root = conj * Word(letters[:d]) * ~conj
-            return True, root, n // d
-    return False, None, None
+    c = _cyclic_bytes(core)
+    d = (c + c).find(c, 1)
+    if d == len(c):
+        return False, None, None
+    return True, conj * Word(core.letters[:d]) * ~conj, len(c) // d
 
 
 def random_reduced_word(rng: random.Random, max_len: int = 12) -> Word:

@@ -1,10 +1,11 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
-from wordmaps import arith
+from wordmaps import arith, gf
 from wordmaps.arith import (
     CongruenceError,
     ConditionReport,
@@ -241,6 +242,31 @@ def test_condition_report_matches_per_index_oracle():
                         pow(2, (p - 1) // 2, p) != 1 and n % 2 == 1 and cond3
                     ), (p, k_pm, n)
                     assert report.to_dict()["inertia_degrees"] == list(degrees)
+
+
+def test_unchecked_record_of_a_ramified_prime_fails_cond3():
+    # p | 2*k_pm+1 makes -2 a root of A_kpm mod p (A_kpm(-2) = ±(2*k_pm+1)),
+    # and the scan over F_p meets the involutions; the entry still refuses it
+    assert ConditionReport(5, 1, 2, Shape.X2_YK).verdict is False
+    assert ConditionReport(13, 1, 6, Shape.X2_YK).cond3 is False
+    for p in (3, 5, 7, 11, 13, 17, 19):
+        field = gf.make_field(p, 1)
+        for k in range(1, 13):
+            if (2 * k + 1) % p == 0:
+                report = ConditionReport(p, 1, k, Shape.X2_YK)
+                assert (report.cond3, report.verdict) == (False, False), (p, k)
+                assert not gf.trace_scan(family_word(Shape.X2_YK, 1, k), field).misses_involutions
+                with pytest.raises(RamifiedPrimeError):
+                    check_nonsurjectivity_conditions(p, 1, k, Shape.X2_YK)
+
+
+def test_conditions_entry_bounds_k():
+    # 2*k_pm+1 = 341550071728321 is the bound of factorize: the entry refuses
+    # it at the call, not when cond3 is first read
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="trial-division bound"):
+        check_nonsurjectivity_conditions(3, 1, 170775035864160, Shape.X2_YK)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_verdicts_never_search_inertia_degrees(monkeypatch):

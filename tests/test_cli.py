@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import wordmaps
-from wordmaps import arith
+from wordmaps import arith, tracepoly
 from wordmaps.cli import build_parser, main
 from wordmaps.words import parse_word
 
@@ -121,6 +121,32 @@ def test_verify_empty_range_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: empty k range\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--lemma", "cyclotomic", "--k-min", "166667", "--k-max", "166667"),
+        ("verify", "--lemma", "factorization", "--k-min", "1", "--k-max", "1000000"),
+        ("verify", "--lemma", "swap", "--k-min", "166667", "--k-max", "166667"),
+        ("verify", "--lemma", "swap", "--k-min", "-166666", "--k-max", "0"),
+    ],
+    ids=["cyclotomic", "factorization", "swap", "swap-left-side"],
+)
+def test_verify_refuses_its_k_range_before_any_certificate(capsys, monkeypatch, argv):
+    # both ends of the range are checked against the family-index cap, and
+    # for swap also k_min - 1 (its left side is y_(k-1)); the factorization
+    # range used to compute every certificate up to k = 166,666 first
+    def refuse(*args):
+        raise AssertionError("certificate computed past the cap")
+
+    for name in ("cyclotomic_certificate", "swap_certificate", "factorization_certificate"):
+        monkeypatch.setattr(tracepoly, name, refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: y_k for k = ")
 
 
 @pytest.mark.parametrize(

@@ -148,6 +148,18 @@ def test_tau_matches_oracle_walk(kind, corpus):
         assert tau(w) == oracle_tau(w), str(w)
 
 
+def test_derived_inverse_rules_undo_their_letter():
+    # word reduction cancels x*x^-1 before tau walks it, so step each unit
+    # coordinate by a letter and then by its inverse through the rule table
+    rules = tracepoly._packed_rules(4)
+    for letter in (1, -1, 2, -2):
+        for j in range(4):
+            unit = [{0: 1} if i == j else {} for i in range(4)]
+            there = tracepoly._step(unit, rules[letter])
+            assert there != unit
+            assert tracepoly._step(there, rules[-letter]) == unit, (letter, j)
+
+
 # -- dickson recurrence --
 
 def test_dickson_base_cases():
