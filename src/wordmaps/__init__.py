@@ -45,7 +45,6 @@ from .words import (
     parse_family,
     parse_word,
     render,
-    standard_corpus,
     trace_equivalent,
     y1,
     yk,

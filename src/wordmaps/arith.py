@@ -213,7 +213,8 @@ def check_nonsurjectivity_conditions(p: int, n: int, k: int, which: Shape) -> Co
         raise ValueError(f"shape {which.value} with k={k} has effective index {report.k_pm} < 1")
     if (m := 2 * report.k_pm + 1) % p == 0:
         raise RamifiedPrimeError(f"p={p} divides 2*k_pm+1={m}")
-    factorize(m)  # bounds k here; cond3 reads it from the cache
+    if m >= _MR_LIMIT:
+        raise ValueError(f"k={k} gives 2*k_pm+1={m}, past the trial-division bound {_MR_LIMIT}")
     return report
 
 
@@ -280,7 +281,8 @@ def scan_primes(k_pm: int, p_max: int) -> tuple[list[int], DensityReport]:
                               f"is always 1, so no prime qualifies")
     if p_max > MAX_SCAN_BOUND:
         raise ValueError(f"p_max must be <= {MAX_SCAN_BOUND}, got {p_max}")
-    m = 2 * k_pm + 1
+    if (m := 2 * k_pm + 1) >= _MR_LIMIT:
+        raise ValueError(f"k_pm={k_pm} gives 2*k_pm+1={m}, past the trial-division bound {_MR_LIMIT}")
     printed = dirichlet = Fraction(1, 2)
     for ell, _ in factorize(m):
         printed *= 1 - Fraction(3, ell)

@@ -200,10 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         "for two-generator word maps on PSL2 over finite fields.",
         epilog=EPILOG,
     )
-    parser.add_argument(
-        "--seed-corpus", action="store_true",
-        help="print the standard word corpus (one word per line) and exit",
-    )
     subs = parser.add_subparsers(dest="command")
 
     sub = subs.add_parser("trace", help="print the trace polynomial of a word",
@@ -267,17 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not args.seed_corpus and not hasattr(args, "func"):
+    if not hasattr(args, "func"):
         parser.print_usage(sys.stderr)
         return 2
-    code = 0
     try:
-        if args.seed_corpus:
-            for w in words.standard_corpus():
-                print(str(w))
-        else:
-            code, records, text_lines = args.func(args)
-            _emit(records, args.format, text_lines)
+        code, records, text_lines = args.func(args)
+        _emit(records, args.format, text_lines)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader left: keep the exit code, and point stdout at devnull

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import random
 import re
 from typing import Iterable, Iterator
 
@@ -359,39 +358,3 @@ def is_proper_power(w: Word) -> tuple[bool, Word | None, int | None]:
         return False, None, None
     return True, conj * Word(core.letters[:d]) * ~conj, len(c) // d
 
-
-def random_reduced_word(rng: random.Random, max_len: int = 12) -> Word:
-    """A uniformly grown reduced word of length between 1 and max_len."""
-    target = rng.randint(1, max_len)
-    letters: list[int] = []
-    while len(letters) < target:
-        options = [l for l in ALPHABET if not letters or l != -letters[-1]]
-        letters.append(rng.choice(options))
-    return Word(letters)
-
-
-CORPUS_SEED = 20250809
-CORPUS_RANDOM_COUNT = 10
-
-
-def standard_corpus() -> list[Word]:
-    """The fixed word corpus replayed by the cross-validation suites.
-
-    Contains the empty word, the generators, the commutator, y_k for
-    k <= 4 in both variants, every family word with k <= 4, and
-    CORPUS_RANDOM_COUNT random reduced words of length <= 12 drawn from
-    a generator seeded with CORPUS_SEED.
-    """
-    x1, x2 = Word((1,)), Word((2,))
-    out = [Word(), x1, x2, commutator(x1, x2)]
-    for inner in (1, -1):
-        for k in range(1, 5):
-            out.append(yk(inner, k))
-    for which in Shape:
-        for inner in (1, -1):
-            for k in range(1, 5):
-                out.append(family_word(which, inner, k))
-    rng = random.Random(CORPUS_SEED)
-    for _ in range(CORPUS_RANDOM_COUNT):
-        out.append(random_reduced_word(rng))
-    return list(dict.fromkeys(out))

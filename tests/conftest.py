@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wordmaps.words import standard_corpus
+from util import standard_corpus
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,8 @@ from fractions import Fraction
 from wordmaps.arith import check_nonsurjectivity_conditions, scan_primes, length_residues
 from wordmaps.gf import enumerate_image_pairs, make_field, sl2_group, trace_scan
 from wordmaps.tracepoly import cyclotomic_certificate, factorization_certificate, swap_certificate, tau
-from wordmaps.words import Shape, Word, family_word, parse_word, standard_corpus
-from util import oracle_proper_power, reduced_letter_tuples, tau_sides
+from wordmaps.words import Shape, Word, family_word, parse_word
+from util import oracle_proper_power, reduced_letter_tuples, standard_corpus, tau_sides
 
 import random
 

@@ -262,10 +262,14 @@ def test_unchecked_record_of_a_ramified_prime_fails_cond3():
 
 def test_conditions_entry_bounds_k():
     # 2*k_pm+1 = 341550071728321 is the bound of factorize: the entry refuses
-    # it at the call, not when cond3 is first read
+    # it at the call, not when cond3 is first read, and names the caller's k
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="trial-division bound"):
-        check_nonsurjectivity_conditions(3, 1, 170775035864160, Shape.X2_YK)
+    for k, shape in ((170775035864160, Shape.X2_YK), (170775035864161, Shape.XNEG2_YK)):
+        message = rf"^k={k} gives 2\*k_pm\+1=341550071728321, .*trial-division bound"
+        with pytest.raises(ValueError, match=message):
+            check_nonsurjectivity_conditions(3, 1, k, shape)
+    with pytest.raises(ValueError, match=r"^k_pm=170775035864160 gives .*trial-division bound"):
+        scan_primes(170775035864160, 100)
     assert time.perf_counter() - start < 1.0
 
 

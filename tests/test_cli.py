@@ -12,7 +12,6 @@ import pytest
 import wordmaps
 from wordmaps import arith, tracepoly
 from wordmaps.cli import build_parser, main
-from wordmaps.words import parse_word
 
 MINUS = "−"
 
@@ -408,17 +407,17 @@ def test_density_scan_reproves_no_prime(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        ("scan", "--kpm", "2", "--p-max", "100000001"),
-        ("density", "--kpm", "2", "--x", "100000001"),
-        ("scan", "--kpm", "2", "--p-max", "1" + "0" * 30),
-        ("scan", "--kpm", "170775035864160", "--p-max", "100"),
-        ("density", "--kpm", "2" + "0" * 30, "--x", "100"),
+        (("scan", "--kpm", "2", "--p-max", "100000001"), "100000001"),
+        (("density", "--kpm", "2", "--x", "100000001"), "100000001"),
+        (("scan", "--kpm", "2", "--p-max", "1" + "0" * 30), "1" + "0" * 30),
+        (("scan", "--kpm", "170775035864160", "--p-max", "100"), "k_pm=170775035864160 "),
+        (("density", "--kpm", "2" + "0" * 30, "--x", "100"), "k_pm=2" + "0" * 30 + " "),
     ],
     ids=["scan-p-max", "density-x", "scan-p-max-1e30", "scan-kpm-at-bound", "density-kpm-2e30"],
 )
-def test_scan_inputs_past_their_bounds(capsys, monkeypatch, argv):
+def test_scan_inputs_past_their_bounds(capsys, monkeypatch, argv, named):
     # p_max past 10^8 is refused before the sieve allocates, and 2K+1 from
     # 341550071728321 on (K = 170775035864160 is 0 mod 3) before trial division
     def refuse(*args):
@@ -430,6 +429,7 @@ def test_scan_inputs_past_their_bounds(capsys, monkeypatch, argv):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+    assert named in err  # the refused input, as the caller gave it
 
 
 def test_scan_cost_is_one_factorization(capsys):
@@ -477,7 +477,7 @@ def test_lengths_json(capsys):
 # Every option string of the program and of each subcommand, in declaration
 # order: a new knob, or a second spelling of an existing one, is an edit here.
 OPTIONS = {
-    "wordmaps": ["-h", "--help", "--seed-corpus"],
+    "wordmaps": ["-h", "--help"],
     "trace": ["-h", "--help", "--format"],
     "verify": ["-h", "--help", "--lemma", "--k-min", "--k-max", "--variant", "--shape", "--format"],
     "conditions": ["-h", "--help", "--p", "--n", "--k", "--shape", "--format"],
@@ -499,16 +499,13 @@ def test_option_strings_are_pinned():
     assert found == OPTIONS
 
 
-# -- corpus dump --
+def test_seed_corpus_is_no_option(capsys):
+    # the seeded word corpus is test data, in tests/util.py
+    err = run_refused(capsys, "--seed-corpus")
+    assert "unrecognized arguments: --seed-corpus" in err
 
-def test_seed_corpus_round_trips(capsys):
-    code, out, _ = run(capsys, "--seed-corpus")
-    assert code == 0
-    lines = out.splitlines()
-    assert len(lines) >= 40
-    for line in lines:
-        parse_word(line)  # must parse back (blank line = empty word)
 
+# -- closed pipes --
 
 def test_closed_pipe_keeps_exit_code_without_traceback():
     # about 1 MB of certificates, far beyond a 64 KB pipe buffer; the
@@ -526,13 +523,14 @@ def test_closed_pipe_keeps_exit_code_without_traceback():
     assert err == b""
 
 
-def test_seed_corpus_closed_pipe(monkeypatch):
+def test_closed_pipe_in_process(monkeypatch):
+    # the flush in main meets the closed pipe: BrokenPipeError, caught there
     read_end, write_end = os.pipe()
     os.close(read_end)
     stdout = open(write_end, "w")
     monkeypatch.setattr(sys, "stdout", stdout)
     try:
-        assert main(["--seed-corpus"]) == 0
+        assert main(["scan", "--kpm", "2", "--p-max", "100"]) == 0
     finally:
         stdout.close()  # flushes into devnull, which now holds the descriptor
 

@@ -14,7 +14,7 @@ from wordmaps.gf import (
     trace_scan,
 )
 from wordmaps.tracepoly import TracePolynomial, tau
-from wordmaps.words import Shape, Word, family_word, parse_word, standard_corpus
+from wordmaps.words import Shape, Word, family_word, parse_word
 from util import (
     FqElement,
     Mat2,
@@ -24,6 +24,7 @@ from util import (
     oracle_trace_scan,
     psl2_order,
     reducible_monics,
+    standard_corpus,
 )
 
 

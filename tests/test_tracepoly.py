@@ -25,12 +25,19 @@ from wordmaps.words import (
     Word,
     family_word,
     parse_word,
-    random_reduced_word,
     trace_equivalent,
     y1,
     yk,
 )
-from util import eval_word_int, mat_mul, mat_trace, oracle_tau, random_int_sl2, reduced_letter_tuples
+from util import (
+    eval_word_int,
+    mat_mul,
+    mat_trace,
+    oracle_tau,
+    random_int_sl2,
+    random_reduced_word,
+    reduced_letter_tuples,
+)
 
 MINUS = "−"
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import time
 
@@ -16,13 +17,18 @@ from wordmaps.words import (
     is_proper_power,
     parse_family,
     parse_word,
-    random_reduced_word,
     render,
-    standard_corpus,
     y1,
     yk,
 )
-from util import LAWS, oracle_parse_word, oracle_proper_power, reduced_letter_tuples
+from util import (
+    LAWS,
+    oracle_parse_word,
+    oracle_proper_power,
+    random_reduced_word,
+    reduced_letter_tuples,
+    standard_corpus,
+)
 
 
 # -- parsing --
@@ -372,12 +378,18 @@ def test_proper_power_oracle_agreement_short():
     assert count == 2 * (3**8 - 1)  # all reduced words of length <= 8
 
 
-# -- corpus --
+# -- the seeded test corpus of tests/util.py --
 
 def test_standard_corpus_deterministic_and_reduced():
     c1 = standard_corpus()
     c2 = standard_corpus()
     assert [w.letters for w in c1] == [w.letters for w in c2]
+    # the digest of the corpus as the package used to print it, one word a
+    # line: every suite that replays the corpus still reads the same words
+    text = "".join(str(w) + "\n" for w in c1)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "aab21aff2acbf370bad9334b1875cee88f129ded72fadf3f06f4db131756124e"
+    )
     assert len(c1) == len({w.letters for w in c1})
     for w in c1:
         assert Word(w.letters) == w

@@ -1,4 +1,5 @@
 """Shared helpers: the hypothesis settings of the property tests, the
+seeded word corpus that the cross-validation suites replay, the
 tokenizer and recursive-descent parser of word text (the oracle for
 wordmaps.words.parse_word), integer 2x2 matrix arithmetic (exact, for
 oracle checks against the symbolic trace machinery), the letter walk of tau on
@@ -23,11 +24,48 @@ from hypothesis import settings
 
 from wordmaps.gf import DEFAULT_BUDGET, FieldSpec, ImageReport, check_budget, field_tables, sl2_group
 from wordmaps.tracepoly import S, T, U, TracePolynomial, tau
-from wordmaps.words import ALPHABET, Word, WordSyntaxError, commutator
+from wordmaps.words import ALPHABET, Shape, Word, WordSyntaxError, commutator, family_word, yk
 
 # `derandomize=True` and no example database make every run draw the same
 # examples; the example count keeps the property tests short.
 LAWS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+
+def random_reduced_word(rng: random.Random, max_len: int = 12) -> Word:
+    """A uniformly grown reduced word of length between 1 and max_len."""
+    target = rng.randint(1, max_len)
+    letters: list[int] = []
+    while len(letters) < target:
+        options = [l for l in ALPHABET if not letters or l != -letters[-1]]
+        letters.append(rng.choice(options))
+    return Word(letters)
+
+
+CORPUS_SEED = 20250809
+CORPUS_RANDOM_COUNT = 10
+
+
+def standard_corpus() -> list[Word]:
+    """The fixed word corpus replayed by the cross-validation suites.
+
+    Contains the empty word, the generators, the commutator, y_k for
+    k <= 4 in both variants, every family word with k <= 4, and
+    CORPUS_RANDOM_COUNT random reduced words of length <= 12 drawn from
+    a generator seeded with CORPUS_SEED.
+    """
+    x1, x2 = Word((1,)), Word((2,))
+    out = [Word(), x1, x2, commutator(x1, x2)]
+    for inner in (1, -1):
+        for k in range(1, 5):
+            out.append(yk(inner, k))
+    for which in Shape:
+        for inner in (1, -1):
+            for k in range(1, 5):
+                out.append(family_word(which, inner, k))
+    rng = random.Random(CORPUS_SEED)
+    for _ in range(CORPUS_RANDOM_COUNT):
+        out.append(random_reduced_word(rng))
+    return list(dict.fromkeys(out))
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
