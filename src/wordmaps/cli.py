@@ -10,6 +10,8 @@ closes the pipe early gets no traceback, and the exit code stays the
 command's.  Certificates are computed in `tracepoly`; this module only
 renders them.  `image` names its field by `--q` alone; `verify`'s k range,
 `conditions --k` and `lengths --r-max` exit 2 past `check_family_index`.
+`main` builds the parser of only the subcommand its argv names, and all
+seven for any other argv, such as `-h`; help and refusals print alike.
 """
 
 from __future__ import annotations
@@ -193,75 +195,87 @@ def _add_format(sub, default: str) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand's runner, in the order that `build_parser` adds them and
+# that its usage lists them.
+_COMMANDS = {"trace": cmd_trace, "verify": cmd_verify, "conditions": cmd_conditions,
+             "image": cmd_image, "scan": cmd_scan, "density": cmd_density, "lengths": cmd_lengths}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `wordmaps` parser with all seven subcommands, or with only the one
+    that `command` names, which prints that one's help and refusals alike."""
     parser = argparse.ArgumentParser(
         prog="wordmaps",
         description="Trace-polynomial certificates and exhaustive image checks "
         "for two-generator word maps on PSL2 over finite fields.",
         epilog=EPILOG,
     )
-    subs = parser.add_subparsers(dest="command")
+    # unrecognized arguments after a subcommand print this usage, which
+    # names all seven subcommands whichever were built
+    subs = parser.add_subparsers(
+        dest="command", metavar=None if command is None else "{%s}" % ",".join(_COMMANDS))
 
-    sub = subs.add_parser("trace", help="print the trace polynomial of a word",
-                          epilog=words.WORD_HELP)
-    sub.add_argument("word", help="word text, e.g. \"x1^2 [x1^-2, x2^-1]\"")
-    _add_format(sub, "text")
-    sub.set_defaults(func=cmd_trace)
+    def add(name: str, **kwargs) -> argparse.ArgumentParser | None:
+        if command not in (None, name):
+            return None
+        sub = subs.add_parser(name, **kwargs)
+        sub.set_defaults(func=_COMMANDS[name])
+        return sub
 
-    sub = subs.add_parser("verify", help="emit identity certificates over a k range")
-    sub.add_argument("--lemma", required=True,
-                     choices=("swap", "factorization", "cyclotomic"))
-    sub.add_argument("--k-min", type=int, required=True)
-    sub.add_argument("--k-max", type=int, required=True)
-    sub.add_argument("--variant", choices=("plus", "minus", "all"), default="all",
-                     help="inner sign of y1 (ignored for cyclotomic)")
-    sub.add_argument("--shape", choices=_SHAPE_NAMES + ("all",), default="all",
-                     help="word shape (factorization only)")
-    _add_format(sub, "json")
-    sub.set_defaults(func=cmd_verify)
+    if sub := add("trace", help="print the trace polynomial of a word", epilog=words.WORD_HELP):
+        sub.add_argument("word", help="word text, e.g. \"x1^2 [x1^-2, x2^-1]\"")
+        _add_format(sub, "text")
 
-    sub = subs.add_parser("conditions", help="check the non-surjectivity conditions")
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--shape", choices=_SHAPE_NAMES, default="x2yk")
-    _add_format(sub, "json")
-    sub.set_defaults(func=cmd_conditions)
+    if sub := add("verify", help="emit identity certificates over a k range"):
+        sub.add_argument("--lemma", required=True,
+                         choices=("swap", "factorization", "cyclotomic"))
+        sub.add_argument("--k-min", type=int, required=True)
+        sub.add_argument("--k-max", type=int, required=True)
+        sub.add_argument("--variant", choices=("plus", "minus", "all"), default="all",
+                         help="inner sign of y1 (ignored for cyclotomic)")
+        sub.add_argument("--shape", choices=_SHAPE_NAMES + ("all",), default="all",
+                         help="word shape (factorization only)")
+        _add_format(sub, "json")
 
-    sub = subs.add_parser("image", help="enumerate the word-map image over F_q")
-    sub.add_argument("--q", type=int, help="field order, an odd prime power")
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--word", help="word text")
-    group.add_argument("--family", help="family mini-syntax, e.g. 'x2yk:+,k=2'")
-    sub.add_argument("--method", required=True, choices=("pairs", "scan"))
-    sub.add_argument("--budget", type=int, default=gf.DEFAULT_BUDGET,
-                     help=f"budget on the pairs or triples covered (default {gf.DEFAULT_BUDGET})")
-    _add_format(sub, "json")
-    sub.set_defaults(func=cmd_image)
+    if sub := add("conditions", help="check the non-surjectivity conditions"):
+        sub.add_argument("--p", type=int, required=True)
+        sub.add_argument("--n", type=int, required=True)
+        sub.add_argument("--k", type=int, required=True)
+        sub.add_argument("--shape", choices=_SHAPE_NAMES, default="x2yk")
+        _add_format(sub, "json")
 
-    sub = subs.add_parser("scan", help="scan primes qualifying for a given k_pm")
-    sub.add_argument("--kpm", type=int, required=True)
-    sub.add_argument("--p-max", type=int, required=True)
-    _add_format(sub, "text")
-    sub.set_defaults(func=cmd_scan)
+    if sub := add("image", help="enumerate the word-map image over F_q"):
+        sub.add_argument("--q", type=int, help="field order, an odd prime power")
+        group = sub.add_mutually_exclusive_group(required=True)
+        group.add_argument("--word", help="word text")
+        group.add_argument("--family", help="family mini-syntax, e.g. 'x2yk:+,k=2'")
+        sub.add_argument("--method", required=True, choices=("pairs", "scan"))
+        sub.add_argument("--budget", type=int, default=gf.DEFAULT_BUDGET,
+                         help=f"budget on the pairs or triples covered (default {gf.DEFAULT_BUDGET})")
+        _add_format(sub, "json")
 
-    sub = subs.add_parser("density", help="prime-density report for a given k_pm")
-    sub.add_argument("--kpm", type=int, required=True)
-    sub.add_argument("--x", type=int, required=True, help="scan bound")
-    _add_format(sub, "json")
-    sub.set_defaults(func=cmd_density)
+    if sub := add("scan", help="scan primes qualifying for a given k_pm"):
+        sub.add_argument("--kpm", type=int, required=True)
+        sub.add_argument("--p-max", type=int, required=True)
+        _add_format(sub, "text")
 
-    sub = subs.add_parser("lengths", help="admissible word lengths and residues mod 18")
-    sub.add_argument("--r-max", type=int, required=True)
-    sub.add_argument("--family", choices=("x2yk", "xneg2yk", "both"), default="both")
-    _add_format(sub, "text")
-    sub.set_defaults(func=cmd_lengths)
+    if sub := add("density", help="prime-density report for a given k_pm"):
+        sub.add_argument("--kpm", type=int, required=True)
+        sub.add_argument("--x", type=int, required=True, help="scan bound")
+        _add_format(sub, "json")
+
+    if sub := add("lengths", help="admissible word lengths and residues mod 18"):
+        sub.add_argument("--r-max", type=int, required=True)
+        sub.add_argument("--family", choices=("x2yk", "xneg2yk", "both"), default="both")
+        _add_format(sub, "text")
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         parser.print_usage(sys.stderr)

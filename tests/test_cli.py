@@ -499,6 +499,81 @@ def test_option_strings_are_pinned():
     assert found == OPTIONS
 
 
+# -- the parser of one subcommand --
+
+def subcommands(parser):
+    (subs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return subs.choices
+
+
+def test_one_subcommand_parser_prints_the_full_parsers_help():
+    full = subcommands(build_parser())
+    assert list(full) == list(OPTIONS)[1:]
+    for name, sub in full.items():
+        only = subcommands(build_parser(name))
+        assert list(only) == [name]
+        assert only[name].format_help() == sub.format_help()
+        assert only[name].format_usage() == sub.format_usage()
+
+
+def refusal(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("image", "--q", "3"),
+        ("verify",),
+        ("image", "--q", "x", "--word", "x1", "--method", "scan"),
+        ("image", "--q", "3", "--word", "x1", "--family", "x2yk:+,k=2", "--method", "scan"),
+        ("scan", "--kpm", "2", "--p-max", "100", "--format", "xml"),
+        ("scan", "--kpm", "2", "--p-max", "100", "--bogus"),
+        ("trace", "x1", "x2"),
+        ("bogus",),
+        ("-h",),
+        ("image", "-h"),
+    ],
+    ids=" ".join,
+)
+def test_refusals_and_help_print_the_full_parsers_bytes(capsys, argv):
+    # argparse raises SystemExit here, and the goldens record only stdout
+    # and a returned code; an unrecognized argument after a subcommand is
+    # refused by the top-level parser, whose usage names all seven
+    assert refusal(capsys, main, argv) == refusal(capsys, build_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (("scan", "--kpm", "2", "--p-max", "100"), ["scan"]),
+        (("-h",), list(OPTIONS)[1:]),
+    ],
+    ids=["scan", "help"],
+)
+def test_a_request_builds_only_its_subcommands_parser(capsys, monkeypatch, argv, built):
+    add_parser = argparse._SubParsersAction.add_parser
+    calls = []
+
+    def counting(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    monkeypatch.setattr(sys, "argv", ["wordmaps", *argv])
+    for args in (list(argv), None):  # None: main reads sys.argv
+        calls.clear()
+        try:
+            assert main(args) == 0
+        except SystemExit as exc:
+            assert exc.code == 0
+        assert calls == built
+    capsys.readouterr()
+
+
 def test_seed_corpus_is_no_option(capsys):
     # the seeded word corpus is test data, in tests/util.py
     err = run_refused(capsys, "--seed-corpus")

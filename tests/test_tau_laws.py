@@ -1,14 +1,21 @@
-"""Property tests of the laws every trace polynomial obeys, on words drawn
+"""Property tests of the laws every trace polynomial obeys, and of the
+round trip of its text through util's parser, on words and polynomials drawn
 by hypothesis with the LAWS settings of util: every run draws the same
-words, and the example count and word length keep it short."""
+examples, and the example count and word length keep it short."""
 
 from hypothesis import given, strategies as st
 
-from wordmaps.tracepoly import S, TracePolynomial, tau
+from wordmaps.tracepoly import S, TracePolynomial, render_poly, tau
 from wordmaps.words import Word
-from util import LAWS
+from util import LAWS, oracle_parse_poly
 
 words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=16).map(Word)
+# sparse polynomials in Z[s, t, u]: small, negative and multi-word coefficients
+polys = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=4)] * 3),
+    st.integers(min_value=-3, max_value=3) | st.integers(min_value=-(2**200), max_value=2**200),
+    max_size=8,
+).map(TracePolynomial)
 X1 = Word((1,))
 SWAP = {1: 2, -1: -2, 2: 1, -2: -1}
 
@@ -67,3 +74,17 @@ def test_every_monomial_has_the_exponent_sum_parities(w):
     e1, e2 = _exponent_sum(w, 1), _exponent_sum(w, 2)
     for a, b, c in tau(w).terms:
         assert (a + c - e1) % 2 == 0 and (b + c - e2) % 2 == 0, (a, b, c)
+
+
+@LAWS
+@given(polys)
+def test_polynomial_text_round_trip(p):
+    assert oracle_parse_poly(render_poly(p)) == p
+
+
+@LAWS
+@given(words)
+def test_tau_text_round_trip(w):
+    text = render_poly(tau(w))
+    assert oracle_parse_poly(text) == tau(w)
+    assert render_poly(oracle_parse_poly(text)) == text

@@ -4,7 +4,8 @@ tokenizer and recursive-descent parser of word text (the oracle for
 wordmaps.words.parse_word), integer 2x2 matrix arithmetic (exact, for
 oracle checks against the symbolic trace machinery), the letter walk of tau on
 TracePolynomial arithmetic (the oracle for the packed walk of
-wordmaps.tracepoly), an F_q element and SL2(F_q) matrix type (the oracle
+wordmaps.tracepoly), a parser of rendered polynomial text (the inverse of
+wordmaps.tracepoly.render_poly), an F_q element and SL2(F_q) matrix type (the oracle
 for the field tables and kernels of wordmaps.gf), both sides of the tau
 identity at a pair of SL2(F_q) elements, the full pair enumeration and the
 plain trace scan (the oracles for wordmaps.gf.enumerate_image_pairs and
@@ -18,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from typing import Iterator
 
 from hypothesis import settings
@@ -233,6 +235,37 @@ def oracle_tau(w: Word) -> TracePolynomial:
             g = S if letter == -1 else T
             c1, cx, cy, cxy = g * c1 - n1, g * cx - nx, g * cy - ny, g * cxy - nxy
     return 2 * c1 + S * cx + T * cy + U * cxy
+
+
+MINUS = "−"
+
+
+def oracle_parse_poly(text: str, names: str = "stu") -> TracePolynomial:
+    """The polynomial of render_poly's text: terms joined by " + " or
+    " − " (U+2212), "−" before a negative first term, each term a
+    coefficient and powers joined by "*", with coefficient 1 and exponent 1
+    elided; a constant term is a bare integer and zero is "0".  Malformed
+    text raises ValueError."""
+    if text == "0":
+        return TracePolynomial()
+    negative = text.startswith(MINUS)
+    parts = re.split(f" ([+{MINUS}]) ", text[1:] if negative else text)
+    signs = [MINUS if negative else "+", *parts[1::2]]
+    terms: dict[tuple[int, int, int], int] = {}
+    for sign, body in zip(signs, parts[::2]):
+        factors = body.split("*")
+        written = re.fullmatch("[0-9]+", factors[0])
+        coef = int(factors.pop(0)) if written else 1
+        exponents = [0, 0, 0]
+        for factor in factors:
+            power = re.fullmatch(f"([{names}])(?:\\^([0-9]+))?", factor)
+            if power is None or power[2] in ("0", "1"):
+                raise ValueError(f"bad power {factor!r} in {text!r}")
+            exponents[names.index(power[1])] = int(power[2] or 1)
+        if coef == 0 or (written and coef == 1 and factors) or tuple(exponents) in terms:
+            raise ValueError(f"bad term {body!r} in {text!r}")
+        terms[tuple(exponents)] = -coef if sign == MINUS else coef
+    return TracePolynomial(terms)
 
 
 def reduced_letter_tuples(max_len: int) -> Iterator[tuple[int, ...]]:
