@@ -20,8 +20,12 @@ _MR_LIMIT = 341_550_071_728_321
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# The largest p_max of a prime scan: a 50 MB sieve and 5.76 M primes.
+# The largest p_max of a prime scan: a 50 MB sieve, of which only kept primes are listed.
 MAX_SCAN_BOUND = 10**8
+
+# cond1 holds for p ≡ 3, 5 (mod 8); cond3 fails for p^n ≡ 0, ±1 (mod l), any prime l | 2*k_pm+1.
+_COND1_RESIDUES = (3, 5)
+_COND3_RESIDUES = (0, 1, -1)
 
 
 def is_prime(n: int) -> bool:
@@ -51,18 +55,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """Sieve of Eratosthenes on the odd numbers: sieve[i] stands for 2i + 1."""
-    if limit < 2:
-        return []
+def _odd_sieve(limit: int) -> bytearray:
+    """Sieve of Eratosthenes for limit >= 2: sieve[i] is 1 iff 2i + 1 <= limit is prime."""
     sieve = bytearray((1,)) * ((limit + 1) // 2)
     sieve[0] = 0  # 1 is not prime
     for i in range(1, (math.isqrt(limit) + 1) // 2):
         if sieve[i]:
             p = 2 * i + 1
-            # strike p^2, p^2 + 2p, ...: the indices p^2 // 2 + j*p
-            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(sieve), p)))
-    return [2, *itertools.compress(range(1, limit + 1, 2), sieve)]
+            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(sieve), p)))  # p^2, p^2 + 2p, ...
+    return sieve
+
+
+def primes_up_to(limit: int) -> list[int]:
+    """The primes <= limit, read off _odd_sieve."""
+    return [2, *itertools.compress(range(1, limit + 1, 2), _odd_sieve(limit))] if limit >= 2 else []
 
 
 @functools.lru_cache(maxsize=None)
@@ -170,7 +176,7 @@ class ConditionReport(NamedTuple):
 
     @property
     def cond1(self) -> bool:  # 2 is not a square mod p (second supplementary law)
-        return self.p % 8 in (3, 5)
+        return self.p % 8 in _COND1_RESIDUES
 
     @property
     def cond2(self) -> bool:  # n is odd
@@ -179,7 +185,7 @@ class ConditionReport(NamedTuple):
     @property
     def cond3(self) -> bool:  # no inertia degree f_i divides n, and p does not ramify
         primes = (ell for ell, _ in factorize(2 * self.k_pm + 1))
-        return all(pow(self.p, self.n, ell) not in (0, 1, ell - 1) for ell in primes)
+        return all(pow(self.p, self.n, ell) not in [r % ell for r in _COND3_RESIDUES] for ell in primes)
 
     @property
     def inertia_degrees(self) -> tuple[int, ...]:  # f_i for i = 1..k_pm
@@ -261,16 +267,13 @@ def scan_primes(k_pm: int, p_max: int) -> tuple[list[int], DensityReport]:
     k_pm, Shape.X2_YK) holds; a prime dividing 2*k_pm+1 (RamifiedPrimeError)
     is not kept.  p_max <= MAX_SCAN_BOUND, and factorize bounds 2*k_pm+1.
 
-    The sieve proves p prime, and a prime dividing 2*k_pm+1 fails cond3, so the
-    report is built unchecked, once per residue class of p mod 8*(2*k_pm+1): its
-    verdict depends on p only through p mod 8 and p mod each prime factor l of
-    2*k_pm+1, and a class that holds a prime dividing 2*k_pm+1 holds no other
-    prime.  The cost is one trial-division factorization of 2*k_pm+1, then one
-    modular power per prime factor per residue class met.  tests/test_arith.py
-    checks the kept primes against fresh evaluations and the sieve criterion
-    "p ≡ 3, 5 (mod 8) and p^2 not ≡ 1 modulo any divisor d > 1 of 2*k_pm+1".
-    The report carries the empirical density among all primes <= p_max next to
-    the printed density (1/2)*prod(1 - 3/l) and the Dirichlet density
+    The verdict depends on p only through p mod 8 and p mod each prime factor
+    l of 2*k_pm+1, so the conditions act as a second sieve: once the primes are
+    counted, p ≡ 0, ±1 (mod l) is struck for each l, and the kept primes are
+    read off the classes p ≡ 3, 5 (mod 8), with no Python step per prime
+    (tests/test_arith.py checks them against fresh per-prime verdicts).  The
+    report carries the empirical density among all primes <= p_max next to the
+    printed density (1/2)*prod(1 - 3/l) and the Dirichlet density
     (1/2)*prod((l-3)/(l-1)) over the prime factors l of 2*k_pm+1.
     """
     if p_max < 3:
@@ -284,21 +287,17 @@ def scan_primes(k_pm: int, p_max: int) -> tuple[list[int], DensityReport]:
     if (m := 2 * k_pm + 1) >= _MR_LIMIT:
         raise ValueError(f"k_pm={k_pm} gives 2*k_pm+1={m}, past the trial-division bound {_MR_LIMIT}")
     printed = dirichlet = Fraction(1, 2)
+    sieve = _odd_sieve(p_max)
+    total = 1 + sieve.count(1)  # 1 for the prime 2
     for ell, _ in factorize(m):
         printed *= 1 - Fraction(3, ell)
         dirichlet *= Fraction(ell - 3, ell - 1)
-    primes = primes_up_to(p_max)
-    verdicts: dict[int, bool] = {}
-    kept = []
-    for p in primes[1:]:  # primes[0] == 2
-        r = p % (8 * m)
-        if r not in verdicts:  # a prime dividing m fails cond3 and is not kept
-            verdicts[r] = ConditionReport(p, 1, k_pm, Shape.X2_YK).verdict
-        if verdicts[r]:
-            kept.append(p)
-    return kept, DensityReport(k_pm=k_pm, x=p_max, matching_prime_count=len(kept),
-                               total_prime_count=len(primes), printed_density=printed,
-                               dirichlet_density=dirichlet)
+        for r in _COND3_RESIDUES:  # 2i + 1 ≡ r (mod l)  <=>  i ≡ (r - 1)(l + 1)/2 (mod l)
+            i = (r - 1) * (ell + 1) // 2 % ell
+            sieve[i::ell] = bytes(len(range(i, len(sieve), ell)))
+    kept = sorted(itertools.chain.from_iterable(  # p ≡ c (mod 8)  <=>  i ≡ (c - 1)/2 (mod 4)
+        itertools.compress(range(c, p_max + 1, 8), sieve[(c - 1) // 2 :: 4]) for c in _COND1_RESIDUES))
+    return kept, DensityReport(k_pm, p_max, len(kept), total, printed, dirichlet)
 
 
 def length_residues(family: Shape, r_max: int) -> tuple[list[int], set[int]]:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wordmaps import arith, gf
+from wordmaps import arith, cli, gf
 from wordmaps.arith import (
     CongruenceError,
     ConditionReport,
@@ -336,6 +336,21 @@ def test_scan_primes_does_not_reprove_its_primes(monkeypatch):
     assert report.matching_prime_count == len(primes) > 0
 
 
+def test_scan_primes_lists_no_prime_it_does_not_keep(monkeypatch, capsys):
+    # the scan strikes the failing classes from the sieve and lists only the
+    # kept primes, never the list of all primes <= p_max
+    def refuse(*args):
+        raise AssertionError("primes_up_to called by scan_primes")
+
+    monkeypatch.setattr(arith, "primes_up_to", refuse)
+    primes, report = scan_primes(12, 10**5)
+    assert report.matching_prime_count == len(primes) > 0
+    assert report.total_prime_count == 9592
+    assert cli.main(["density", "--kpm", "12", "--x", "100000"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record["matching_prime_count"], record["total_prime_count"]) == (len(primes), 9592)
+
+
 def test_scanned_primes_pass_conditions_at_n_1():
     primes, _ = scan_primes(2, 300)
     for p in primes:
@@ -344,9 +359,9 @@ def test_scanned_primes_pass_conditions_at_n_1():
 
 
 def test_scan_primes_matches_per_prime_conditions():
-    # scan_primes computes one verdict per residue class mod 8*(2*k_pm+1);
-    # here every prime is evaluated afresh, and against the former selection
-    # rule (p ≡ 3, 5 mod 8, coprime to m, p^2 != 1 mod every divisor > 1).
+    # scan_primes strikes the failing residue classes from the sieve; here
+    # every prime is evaluated afresh, and against the former selection rule
+    # (p ≡ 3, 5 mod 8, coprime to m, p^2 != 1 mod every divisor > 1).
     # m = 5, 13 and 25 bring ramified primes, m = 35 a composite modulus.
     primes = primes_up_to(20000)
     for k_pm in (2, 3, 5, 6, 12, 17):
@@ -365,6 +380,33 @@ def test_scan_primes_matches_per_prime_conditions():
             if p % 8 in (3, 5) and m % p and all(p * p % d != 1 for d in divs)
         ]
         assert kept == sieve, k_pm
+
+
+def _fresh_verdicts(k_pm: int, p_max: int) -> list[int]:
+    # the unchecked per-prime report: a prime dividing 2*k_pm+1 fails cond3
+    return [p for p in primes_up_to(p_max)[1:] if ConditionReport(p, 1, k_pm, Shape.X2_YK).verdict]
+
+
+@pytest.mark.parametrize(
+    "k_pm, p_max",
+    [(24, 20000), (60, 20000), (62, 20000), (2502, 20000), (20000, 20000), (10**12 + 2, 100)],
+    ids=["m=7^2", "m=11^2", "m=5^3", "m=5*7*11*13", "m=40001>p_max", "m=2*10^12+5>p_max"],
+)
+def test_scan_primes_strikes_match_per_prime_verdicts(k_pm, p_max):
+    # a repeated prime factor is struck once per distinct prime, four prime
+    # factors strike twelve classes, and a modulus past p_max strikes classes
+    # that may start beyond the end of the sieve
+    primes, report = scan_primes(k_pm, p_max)
+    assert primes == _fresh_verdicts(k_pm, p_max)
+    assert report.total_prime_count == len(primes_up_to(p_max))
+
+
+def test_scan_primes_at_every_small_bound():
+    for k_pm in (2, 12):
+        for p_max in range(3, 401):
+            primes, report = scan_primes(k_pm, p_max)
+            assert primes == _fresh_verdicts(k_pm, p_max), (k_pm, p_max)
+            assert report.total_prime_count == len(primes_up_to(p_max)), (k_pm, p_max)
 
 
 def test_sieve_criterion_equivalent_to_min_inertia():

@@ -421,9 +421,9 @@ def test_scan_inputs_past_their_bounds(capsys, monkeypatch, argv, named):
     # p_max past 10^8 is refused before the sieve allocates, and 2K+1 from
     # 341550071728321 on (K = 170775035864160 is 0 mod 3) before trial division
     def refuse(*args):
-        raise AssertionError("primes_up_to called past a bound")
+        raise AssertionError("sieve allocated past a bound")
 
-    monkeypatch.setattr(arith, "primes_up_to", refuse)
+    monkeypatch.setattr(arith, "_odd_sieve", refuse)
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
@@ -433,9 +433,9 @@ def test_scan_inputs_past_their_bounds(capsys, monkeypatch, argv, named):
 
 
 def test_scan_cost_is_one_factorization(capsys):
-    # 2*k_pm+1 is factored once by trial division, then each residue class
-    # costs one modular power per prime factor; a search for each inertia
-    # degree took minutes here.  Each output is checked against the
+    # 2*k_pm+1 is factored once by trial division, then each prime factor
+    # strikes its classes from the sieve; a search for each inertia degree
+    # took minutes here.  Each output is checked against the
     # criterion p ≡ 3, 5 (mod 8) and p mod l not in {0, 1, l-1} for every
     # prime l dividing 2*k_pm+1.
     composite, prime = 2_000_000_000_005, 2_000_000_000_003
