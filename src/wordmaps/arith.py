@@ -9,7 +9,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .words import Shape, check_family_index
 
@@ -20,7 +20,7 @@ _MR_LIMIT = 341_550_071_728_321
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# The largest p_max of a prime scan: a 50 MB sieve, of which only kept primes are listed.
+# The largest p_max of a prime scan: a 50 MB sieve, whose kept primes are listed only when read.
 MAX_SCAN_BOUND = 10**8
 
 # cond1 holds for p ≡ 3, 5 (mod 8); cond3 fails for p^n ≡ 0, ±1 (mod l), any prime l | 2*k_pm+1.
@@ -59,10 +59,12 @@ def _odd_sieve(limit: int) -> bytearray:
     """Sieve of Eratosthenes for limit >= 2: sieve[i] is 1 iff 2i + 1 <= limit is prime."""
     sieve = bytearray((1,)) * ((limit + 1) // 2)
     sieve[0] = 0  # 1 is not prime
+    # here and in scan_primes' strikes the zeros are a bytearray: a slice
+    # assignment copies any other value into a new bytearray first
     for i in range(1, (math.isqrt(limit) + 1) // 2):
         if sieve[i]:
             p = 2 * i + 1
-            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(sieve), p)))  # p^2, p^2 + 2p, ...
+            sieve[p * p // 2 :: p] = bytearray(len(range(p * p // 2, len(sieve), p)))  # p^2, p^2 + 2p, ...
     return sieve
 
 
@@ -262,18 +264,20 @@ class DensityReport(NamedTuple):
         return out
 
 
-def scan_primes(k_pm: int, p_max: int) -> tuple[list[int], DensityReport]:
+def scan_primes(k_pm: int, p_max: int) -> tuple[Iterator[int], DensityReport]:
     """Odd primes p <= p_max for which check_nonsurjectivity_conditions(p, 1,
-    k_pm, Shape.X2_YK) holds; a prime dividing 2*k_pm+1 (RamifiedPrimeError)
-    is not kept.  p_max <= MAX_SCAN_BOUND, and factorize bounds 2*k_pm+1.
+    k_pm, Shape.X2_YK) holds, ascending, and their report; a prime dividing
+    2*k_pm+1 (RamifiedPrimeError) is not kept.  p_max <= MAX_SCAN_BOUND, and
+    factorize bounds 2*k_pm+1.
 
     The verdict depends on p only through p mod 8 and p mod each prime factor
     l of 2*k_pm+1, so the conditions act as a second sieve: once the primes are
     counted, p ≡ 0, ±1 (mod l) is struck for each l, and the kept primes are
-    read off the classes p ≡ 3, 5 (mod 8), with no Python step per prime
+    the 1s left in the classes p ≡ 3, 5 (mod 8), with no Python step per prime
     (tests/test_arith.py checks them against fresh per-prime verdicts).  The
-    report carries the empirical density among all primes <= p_max next to the
-    printed density (1/2)*prod(1 - 3/l) and the Dirichlet density
+    report counts them; the iterator lists and sorts them only when first read.
+    The report carries the empirical density among all primes <= p_max next to
+    the printed density (1/2)*prod(1 - 3/l) and the Dirichlet density
     (1/2)*prod((l-3)/(l-1)) over the prime factors l of 2*k_pm+1.
     """
     if p_max < 3:
@@ -294,10 +298,16 @@ def scan_primes(k_pm: int, p_max: int) -> tuple[list[int], DensityReport]:
         dirichlet *= Fraction(ell - 3, ell - 1)
         for r in _COND3_RESIDUES:  # 2i + 1 ≡ r (mod l)  <=>  i ≡ (r - 1)(l + 1)/2 (mod l)
             i = (r - 1) * (ell + 1) // 2 % ell
-            sieve[i::ell] = bytes(len(range(i, len(sieve), ell)))
-    kept = sorted(itertools.chain.from_iterable(  # p ≡ c (mod 8)  <=>  i ≡ (c - 1)/2 (mod 4)
-        itertools.compress(range(c, p_max + 1, 8), sieve[(c - 1) // 2 :: 4]) for c in _COND1_RESIDUES))
-    return kept, DensityReport(k_pm, p_max, len(kept), total, printed, dirichlet)
+            sieve[i::ell] = bytearray(len(range(i, len(sieve), ell)))
+
+    def cond1_class(c: int) -> bytearray:  # p ≡ c (mod 8)  <=>  i ≡ (c - 1)/2 (mod 4)
+        return sieve[(c - 1) // 2 :: 4]
+
+    matching = sum(cond1_class(c).count(1) for c in _COND1_RESIDUES)
+    kept = itertools.chain.from_iterable(  # lazy: no class is sliced again before the first read
+        itertools.compress(range(c, p_max + 1, 8), cond1_class(c)) for c in _COND1_RESIDUES)
+    ascending = itertools.chain.from_iterable(map(sorted, [kept]))  # one sort, at the first read
+    return ascending, DensityReport(k_pm, p_max, matching, total, printed, dirichlet)
 
 
 def length_residues(family: Shape, r_max: int) -> tuple[list[int], set[int]]:

@@ -17,7 +17,6 @@ seven for any other argv, such as `-h`; help and refusals print alike.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -54,6 +53,8 @@ def _emit(records: list[dict], fmt: str, text_lines: list[str] | None) -> None:
         for record in records:
             print(json.dumps(record, ensure_ascii=False))
     elif fmt == "csv":
+        import csv  # only this branch needs it, so no other request pays for the import
+
         writer = csv.writer(sys.stdout)
         if records:
             header = list(records[0].keys())
@@ -153,14 +154,15 @@ def cmd_image(args) -> Result:
 
 
 def cmd_scan(args) -> Result:
-    primes, report = arith.scan_primes(args.kpm, args.p_max)
+    kept, report = arith.scan_primes(args.kpm, args.p_max)
+    primes = list(kept)
     record = {"kpm": args.kpm, "p_max": args.p_max, "primes": primes}
     record.update(report.to_dict())
     return 0, [record], [" ".join(str(p) for p in primes)]
 
 
 def cmd_density(args) -> Result:
-    _, report = arith.scan_primes(args.kpm, args.x)
+    _, report = arith.scan_primes(args.kpm, args.x)  # counts the kept primes, never lists them
     record = report.to_dict()
     return 0, [record], _field_lines(record)
 

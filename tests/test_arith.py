@@ -1,9 +1,11 @@
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wordmaps import arith, cli, gf
 from wordmaps.arith import (
@@ -21,7 +23,7 @@ from wordmaps.arith import (
     scan_primes,
 )
 from wordmaps.words import Shape, family_word
-from util import divisors_above_one, multiplicative_order, oracle_inertia_degrees
+from util import LAWS, divisors_above_one, multiplicative_order, oracle_inertia_degrees
 
 
 # -- primality --
@@ -280,7 +282,7 @@ def test_verdicts_never_search_inertia_degrees(monkeypatch):
 
     monkeypatch.setattr(arith, "inertia_degree", refuse)
     assert check_nonsurjectivity_conditions(3, 5, 437, Shape.X2_YK).verdict
-    assert scan_primes(437, 2000)[0]
+    assert list(scan_primes(437, 2000)[0])
     with pytest.raises(AssertionError):
         check_nonsurjectivity_conditions(3, 5, 437, Shape.X2_YK).to_dict()
 
@@ -313,7 +315,7 @@ def test_condition_report_json_round_trip():
 
 def test_scan_primes_k2_to_100():
     primes, report = scan_primes(2, 100)
-    assert primes == [3, 13, 37, 43, 53, 67, 83]
+    assert list(primes) == [3, 13, 37, 43, 53, 67, 83]
     assert report.matching_prime_count == 7
     assert report.total_prime_count == 25
     assert report.printed_density == Fraction(1, 5)
@@ -333,7 +335,7 @@ def test_scan_primes_does_not_reprove_its_primes(monkeypatch):
 
     monkeypatch.setattr(arith, "is_prime", refuse)
     primes, report = scan_primes(12, 10**5)
-    assert report.matching_prime_count == len(primes) > 0
+    assert report.matching_prime_count == len(list(primes)) > 0
 
 
 def test_scan_primes_lists_no_prime_it_does_not_keep(monkeypatch, capsys):
@@ -344,6 +346,7 @@ def test_scan_primes_lists_no_prime_it_does_not_keep(monkeypatch, capsys):
 
     monkeypatch.setattr(arith, "primes_up_to", refuse)
     primes, report = scan_primes(12, 10**5)
+    primes = list(primes)
     assert report.matching_prime_count == len(primes) > 0
     assert report.total_prime_count == 9592
     assert cli.main(["density", "--kpm", "12", "--x", "100000"]) == 0
@@ -366,7 +369,7 @@ def test_scan_primes_matches_per_prime_conditions():
     primes = primes_up_to(20000)
     for k_pm in (2, 3, 5, 6, 12, 17):
         m = 2 * k_pm + 1
-        kept = scan_primes(k_pm, 20000)[0]
+        kept = list(scan_primes(k_pm, 20000)[0])
         expected = [
             p
             for p in primes[1:]
@@ -397,16 +400,48 @@ def test_scan_primes_strikes_match_per_prime_verdicts(k_pm, p_max):
     # factors strike twelve classes, and a modulus past p_max strikes classes
     # that may start beyond the end of the sieve
     primes, report = scan_primes(k_pm, p_max)
-    assert primes == _fresh_verdicts(k_pm, p_max)
+    assert list(primes) == _fresh_verdicts(k_pm, p_max)
     assert report.total_prime_count == len(primes_up_to(p_max))
 
 
 def test_scan_primes_at_every_small_bound():
-    for k_pm in (2, 12):
+    # every residue mod 8 ends a class slice of the sieve somewhere in
+    # 3..400, so an off-by-one in the slices that the count reads, or in
+    # those that the listing reads, shows; m = 5 and 25 are ramified, m = 35
+    # composite, m = 49 a prime square, m = 5005 four primes, m = 40001 > p_max
+    for k_pm in (2, 3, 12, 17, 24, 2502, 20000):
         for p_max in range(3, 401):
             primes, report = scan_primes(k_pm, p_max)
-            assert primes == _fresh_verdicts(k_pm, p_max), (k_pm, p_max)
+            fresh = _fresh_verdicts(k_pm, p_max)
+            assert list(primes) == fresh, (k_pm, p_max)
+            assert report.matching_prime_count == len(fresh), (k_pm, p_max)
             assert report.total_prime_count == len(primes_up_to(p_max)), (k_pm, p_max)
+
+
+@LAWS
+@given(st.integers(1, 10**6).filter(necessary_congruence), st.integers(3, 20000))
+def test_scan_primes_count_matches_listing(k_pm, p_max):
+    primes, report = scan_primes(k_pm, p_max)
+    fresh = _fresh_verdicts(k_pm, p_max)
+    assert list(primes) == fresh
+    assert report.matching_prime_count == len(fresh)
+
+
+def test_density_builds_no_prime_list(capsys):
+    # the density request counts the 1s left in the struck sieve: its traced
+    # peak stays below the sieve, one strike buffer (a third of the sieve at
+    # most, for the multiples of 3) and one class slice (a quarter).  The
+    # 166,111 kept primes below 10^7 as a list would add about 6 MB.
+    x = 10**7
+    sieve_bytes = (x + 1) // 2
+    tracemalloc.start()
+    try:
+        assert cli.main(["density", "--kpm", "12", "--x", str(x)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["matching_prime_count"] == 166_111
+    assert peak < sieve_bytes + sieve_bytes // 3 + sieve_bytes // 4, peak
 
 
 def test_sieve_criterion_equivalent_to_min_inertia():

@@ -29,8 +29,10 @@ def test_package_imports_only_the_standard_library():
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
-    # dataclasses imports inspect, which brings ast, dis and tokenize
-    code = "import sys, wordmaps.cli; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # dataclasses imports inspect, which brings ast, dis and tokenize; csv
+    # is imported by the csv output branch alone
+    code = ("import sys, wordmaps.cli; "
+            "print(*sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))")
     src = str(Path(wordmaps.__file__).resolve().parent.parent)
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True, timeout=60)
