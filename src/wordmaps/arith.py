@@ -1,4 +1,5 @@
-"""Number-theoretic side: primality, factorization, inertia degrees in real
+"""Number-theoretic side: factorization by trial division, and primality read
+off it (one algorithm, bounded by FACTOR_BOUND), inertia degrees in real
 cyclotomic subfields, the non-surjectivity conditions (p mod 8, the parity
 of n, and one congruence per prime factor of the cyclotomic modulus), prime
 scans with densities, and the admissible word-length residues mod 18."""
@@ -13,12 +14,8 @@ from typing import Iterator, NamedTuple
 
 from .words import Shape, check_family_index
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17)
-# Jaeschke: the bases above are a deterministic witness set below this bound.
-# It also bounds factorize, at about 9*10^6 trial divisions.
-_MR_LIMIT = 341_550_071_728_321
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The bound of factorize: at most about 9*10^6 trial divisions.
+FACTOR_BOUND = 341_550_071_728_321
 
 # The largest p_max of a prime scan: a 50 MB sieve, whose kept primes are listed only when read.
 MAX_SCAN_BOUND = 10**8
@@ -29,30 +26,13 @@ _COND3_RESIDUES = (0, 1, -1)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid below 3.4e14."""
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    if n >= _MR_LIMIT:
-        raise ValueError(f"{n} exceeds the deterministic primality bound {_MR_LIMIT}")
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """True iff n is prime, by the definition: n >= 2 and its factorization is
+    n itself.  factorize bounds n, so n >= FACTOR_BOUND raises ValueError.
+
+    >>> is_prime(1_000_000_007), is_prime(1_000_036_000_099)  # 1000003 * 1000033
+    (True, False)
+    """
+    return n >= 2 and factorize(n) == ((n, 1),)
 
 
 def _odd_sieve(limit: int) -> bytearray:
@@ -75,7 +55,7 @@ def primes_up_to(limit: int) -> list[int]:
 
 @functools.lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """The (prime, exponent) pairs of 1 <= n < _MR_LIMIT, primes ascending, by trial division.
+    """The (prime, exponent) pairs of 1 <= n < FACTOR_BOUND, primes ascending, by trial division.
 
     >>> factorize(2_000_000_000_005)
     ((5, 1), (7, 1), (19, 3), (41, 1), (317, 1), (641, 1))
@@ -84,8 +64,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if n >= _MR_LIMIT:
-        raise ValueError(f"n must be below the trial-division bound {_MR_LIMIT}, got {n}")
+    if n >= FACTOR_BOUND:
+        raise ValueError(f"n must be below the trial-division bound {FACTOR_BOUND}, got {n}")
     pairs = []
     d = 2
     while d * d <= n:
@@ -221,8 +201,8 @@ def check_nonsurjectivity_conditions(p: int, n: int, k: int, which: Shape) -> Co
         raise ValueError(f"shape {which.value} with k={k} has effective index {report.k_pm} < 1")
     if (m := 2 * report.k_pm + 1) % p == 0:
         raise RamifiedPrimeError(f"p={p} divides 2*k_pm+1={m}")
-    if m >= _MR_LIMIT:
-        raise ValueError(f"k={k} gives 2*k_pm+1={m}, past the trial-division bound {_MR_LIMIT}")
+    if m >= FACTOR_BOUND:
+        raise ValueError(f"k={k} gives 2*k_pm+1={m}, past the trial-division bound {FACTOR_BOUND}")
     return report
 
 
@@ -288,8 +268,8 @@ def scan_primes(k_pm: int, p_max: int) -> tuple[Iterator[int], DensityReport]:
                               f"is always 1, so no prime qualifies")
     if p_max > MAX_SCAN_BOUND:
         raise ValueError(f"p_max must be <= {MAX_SCAN_BOUND}, got {p_max}")
-    if (m := 2 * k_pm + 1) >= _MR_LIMIT:
-        raise ValueError(f"k_pm={k_pm} gives 2*k_pm+1={m}, past the trial-division bound {_MR_LIMIT}")
+    if (m := 2 * k_pm + 1) >= FACTOR_BOUND:
+        raise ValueError(f"k_pm={k_pm} gives 2*k_pm+1={m}, past the trial-division bound {FACTOR_BOUND}")
     printed = dirichlet = Fraction(1, 2)
     sieve = _odd_sieve(p_max)
     total = 1 + sieve.count(1)  # 1 for the prime 2
@@ -303,11 +283,12 @@ def scan_primes(k_pm: int, p_max: int) -> tuple[Iterator[int], DensityReport]:
     def cond1_class(c: int) -> bytearray:  # p ≡ c (mod 8)  <=>  i ≡ (c - 1)/2 (mod 4)
         return sieve[(c - 1) // 2 :: 4]
 
+    def ascending() -> Iterator[int]:  # the classes are sliced again and sorted at the first read
+        yield from sorted(itertools.chain.from_iterable(
+            itertools.compress(range(c, p_max + 1, 8), cond1_class(c)) for c in _COND1_RESIDUES))
+
     matching = sum(cond1_class(c).count(1) for c in _COND1_RESIDUES)
-    kept = itertools.chain.from_iterable(  # lazy: no class is sliced again before the first read
-        itertools.compress(range(c, p_max + 1, 8), cond1_class(c)) for c in _COND1_RESIDUES)
-    ascending = itertools.chain.from_iterable(map(sorted, [kept]))  # one sort, at the first read
-    return ascending, DensityReport(k_pm, p_max, matching, total, printed, dirichlet)
+    return ascending(), DensityReport(k_pm, p_max, matching, total, printed, dirichlet)
 
 
 def length_residues(family: Shape, r_max: int) -> tuple[list[int], set[int]]:

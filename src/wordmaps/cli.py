@@ -1,17 +1,18 @@
 """Command-line front end.
 
 Each `cmd_*` returns `(exit_code, records, text_lines)`, with `text_lines`
-None for the default `k=v` text; `main` is the one place that emits the
-records and maps errors to exit codes: 0 = verified/true, 1 =
-checked-and-false, 2 = usage or input error.  JSON output is one document
-per line; CSV flattens one record per row.  Every subcommand prints the
-same bytes on every run: `image` reports carry no timing.  A reader that
-closes the pipe early gets no traceback, and the exit code stays the
-command's.  Certificates are computed in `tracepoly`; this module only
-renders them.  `image` names its field by `--q` alone; `verify`'s k range,
-`conditions --k` and `lengths --r-max` exit 2 past `check_family_index`.
-`main` builds the parser of only the subcommand its argv names, and all
-seven for any other argv, such as `-h`; help and refusals print alike.
+None for the default `k=v` text, and read only for the text format; `main`
+is the one place that emits the records and maps errors to exit codes: 0 =
+verified/true, 1 = checked-and-false, 2 = usage or input error.  JSON
+output is one document per line; CSV flattens one record per row.  Every
+subcommand prints the same bytes on every run: `image` reports carry no
+timing.  A reader that closes the pipe early gets no traceback, and the
+exit code stays the command's.  Certificates are computed in `tracepoly`;
+this module only renders them.  `image` names its field by `--q` alone;
+`verify`'s k range, `conditions --k` and `lengths --r-max` exit 2 past
+`check_family_index`.  `main` builds the parser of only the subcommand its
+argv names, and all seven for any other argv, such as `-h`; help and
+refusals print alike.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import arith, gf, tracepoly, words
 
@@ -35,7 +36,7 @@ EPILOG = (
 
 _VARIANTS = {1: "plus", -1: "minus"}
 
-Result = tuple[int, list[dict], list[str] | None]
+Result = tuple[int, list[dict], Iterable[str] | None]
 
 
 def _csv_cell(value) -> str:
@@ -48,7 +49,7 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit(records: list[dict], fmt: str, text_lines: list[str] | None) -> None:
+def _emit(records: list[dict], fmt: str, text_lines: Iterable[str] | None) -> None:
     if fmt == "json":
         for record in records:
             print(json.dumps(record, ensure_ascii=False))
@@ -158,7 +159,7 @@ def cmd_scan(args) -> Result:
     primes = list(kept)
     record = {"kpm": args.kpm, "p_max": args.p_max, "primes": primes}
     record.update(report.to_dict())
-    return 0, [record], [" ".join(str(p) for p in primes)]
+    return 0, [record], (" ".join(map(str, ps)) for ps in [primes])  # joined only if text reads it
 
 
 def cmd_density(args) -> Result:
@@ -197,8 +198,8 @@ def _add_format(sub, default: str) -> None:
     )
 
 
-# Each subcommand's runner, in the order that `build_parser` adds them and
-# that its usage lists them.
+# Each subcommand's runner, which `main` calls, in the order that
+# `build_parser` adds them and that its usage lists them.
 _COMMANDS = {"trace": cmd_trace, "verify": cmd_verify, "conditions": cmd_conditions,
              "image": cmd_image, "scan": cmd_scan, "density": cmd_density, "lengths": cmd_lengths}
 
@@ -218,11 +219,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         dest="command", metavar=None if command is None else "{%s}" % ",".join(_COMMANDS))
 
     def add(name: str, **kwargs) -> argparse.ArgumentParser | None:
-        if command not in (None, name):
-            return None
-        sub = subs.add_parser(name, **kwargs)
-        sub.set_defaults(func=_COMMANDS[name])
-        return sub
+        return subs.add_parser(name, **kwargs) if command in (None, name) else None
 
     if sub := add("trace", help="print the trace polynomial of a word", epilog=words.WORD_HELP):
         sub.add_argument("word", help="word text, e.g. \"x1^2 [x1^-2, x2^-1]\"")
@@ -279,11 +276,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
-    if not hasattr(args, "func"):
+    if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        code, records, text_lines = args.func(args)
+        code, records, text_lines = _COMMANDS[args.command](args)
         _emit(records, args.format, text_lines)
         sys.stdout.flush()
     except BrokenPipeError:

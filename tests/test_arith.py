@@ -47,11 +47,22 @@ def test_is_prime_catches_strong_pseudoprimes():
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
     assert is_prime(2**31 - 1)       # Mersenne prime
     assert is_prime(1_000_000_007)
+    assert is_prime(999_999_999_877)
+    assert not is_prime(1_000_036_000_099)  # 1000003 * 1000033: no factor below 10^6
 
 
 def test_is_prime_bound():
-    with pytest.raises(ValueError):
-        is_prime(10**15 + 37)
+    for big in (arith.FACTOR_BOUND, 10**15 + 37):
+        with pytest.raises(ValueError, match="trial-division bound"):
+            is_prime(big)
+
+
+def test_is_prime_cost_at_the_bound():
+    # the largest prime below the bound is the dearest input: about 9*10^6
+    # trial divisions, 1 s on a 2-core host
+    start = time.perf_counter()
+    assert is_prime(341_550_071_728_289)
+    assert time.perf_counter() - start < 10.0
 
 
 def test_primes_up_to_matches_trial_division():
@@ -83,8 +94,8 @@ def test_factorize_matches_brute_force():
 
 
 def test_factorize_bound():
-    # is_prime's bound caps trial division at about 9*10^6 steps
-    for big in (arith._MR_LIMIT, arith._MR_LIMIT + 2, 10**30):
+    # FACTOR_BOUND caps trial division at about 9*10^6 steps
+    for big in (arith.FACTOR_BOUND, arith.FACTOR_BOUND + 2, 10**30):
         with pytest.raises(ValueError, match="trial-division bound"):
             factorize(big)
 
@@ -329,7 +340,7 @@ def test_scan_primes_congruence_precondition():
 
 def test_scan_primes_does_not_reprove_its_primes(monkeypatch):
     # the sieve proves each p prime and `m % p` tests ramification, so no
-    # verdict of the scan runs the entry's Miller-Rabin check
+    # verdict of the scan runs the entry's primality check
     def refuse(*args):
         raise AssertionError("is_prime called by scan_primes")
 
@@ -442,6 +453,24 @@ def test_density_builds_no_prime_list(capsys):
         tracemalloc.stop()
     assert json.loads(capsys.readouterr().out)["matching_prime_count"] == 166_111
     assert peak < sieve_bytes + sieve_bytes // 3 + sieve_bytes // 4, peak
+
+
+def test_scan_json_builds_no_text_line(capsys):
+    # `scan --format json` prints the record and never joins the text line,
+    # whose 166,111 str objects below 10^7 would add about 8 MB.  The peak
+    # stays below the sieve, the kept primes as ints (32 bytes each) in two
+    # lists (8 bytes a slot each), and the printed record (about 9 bytes a
+    # prime) held twice, as a string and in the capture.
+    x, kept = 10**7, 166_111
+    sieve_bytes = (x + 1) // 2
+    tracemalloc.start()
+    try:
+        assert cli.main(["scan", "--kpm", "12", "--p-max", str(x), "--format", "json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(json.loads(capsys.readouterr().out)["primes"]) == kept
+    assert peak < sieve_bytes + kept * (32 + 2 * 8) + 2 * kept * 9, peak
 
 
 def test_sieve_criterion_equivalent_to_min_inertia():

@@ -398,7 +398,7 @@ def test_density_cost_is_per_divisor_not_per_index(capsys):
 def test_density_scan_reproves_no_prime(capsys):
     # most of the 78,497 odd primes meet a residue class mod 8*40001 of
     # their own; the scan builds those reports unchecked instead of running
-    # Miller-Rabin twice per class (2.2 s when it did)
+    # a primality test twice per class (2.2 s when it did)
     start = time.perf_counter()
     code, out, _ = run(capsys, "density", "--kpm", "20000", "--x", "1000000")
     assert time.perf_counter() - start < 1.0
