@@ -17,7 +17,7 @@ from .words import Shape, check_family_index
 # The bound of factorize: at most about 9*10^6 trial divisions.
 FACTOR_BOUND = 341_550_071_728_321
 
-# The largest p_max of a prime scan: a 50 MB sieve, whose kept primes are listed only when read.
+# The largest p_max of a prime scan: a 50 MB sieve, struck in place until its 1s are the kept primes.
 MAX_SCAN_BOUND = 10**8
 
 # cond1 holds for p ≡ 3, 5 (mod 8); cond3 fails for p^n ≡ 0, ±1 (mod l), any prime l | 2*k_pm+1.
@@ -53,7 +53,7 @@ def primes_up_to(limit: int) -> list[int]:
     return [2, *itertools.compress(range(1, limit + 1, 2), _odd_sieve(limit))] if limit >= 2 else []
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)  # a request factors q, p and 2*k_pm+1, p more than once
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """The (prime, exponent) pairs of 1 <= n < FACTOR_BOUND, primes ascending, by trial division.
 
@@ -252,10 +252,10 @@ def scan_primes(k_pm: int, p_max: int) -> tuple[Iterator[int], DensityReport]:
 
     The verdict depends on p only through p mod 8 and p mod each prime factor
     l of 2*k_pm+1, so the conditions act as a second sieve: once the primes are
-    counted, p ≡ 0, ±1 (mod l) is struck for each l, and the kept primes are
-    the 1s left in the classes p ≡ 3, 5 (mod 8), with no Python step per prime
+    counted, the failing classes, p ≡ ±1 (mod 8) and p ≡ 0, ±1 (mod each l),
+    are struck, with no Python step per prime; the kept primes are the 1s left
     (tests/test_arith.py checks them against fresh per-prime verdicts).  The
-    report counts them; the iterator lists and sorts them only when first read.
+    report counts them; the iterator walks them, ascending, only when read.
     The report carries the empirical density among all primes <= p_max next to
     the printed density (1/2)*prod(1 - 3/l) and the Dirichlet density
     (1/2)*prod((l-3)/(l-1)) over the prime factors l of 2*k_pm+1.
@@ -273,22 +273,23 @@ def scan_primes(k_pm: int, p_max: int) -> tuple[Iterator[int], DensityReport]:
     printed = dirichlet = Fraction(1, 2)
     sieve = _odd_sieve(p_max)
     total = 1 + sieve.count(1)  # 1 for the prime 2
+    failing = [(8, [c for c in range(1, 8, 2) if c not in _COND1_RESIDUES])]  # cond1 fails: p ≡ ±1 (mod 8)
     for ell, _ in factorize(m):
         printed *= 1 - Fraction(3, ell)
         dirichlet *= Fraction(ell - 3, ell - 1)
-        for r in _COND3_RESIDUES:  # 2i + 1 ≡ r (mod l)  <=>  i ≡ (r - 1)(l + 1)/2 (mod l)
-            i = (r - 1) * (ell + 1) // 2 % ell
-            sieve[i::ell] = bytearray(len(range(i, len(sieve), ell)))
+        failing.append((ell, _COND3_RESIDUES))
+    for modulus, residues in failing:
+        step = modulus if modulus % 2 else modulus // 2  # the index stride of a class of odd p
+        for r in residues:  # 2i + 1 ≡ r (mod modulus)  <=>  i ≡ (r - 1)(modulus + 1)/2 (mod step)
+            i = (r - 1) * (modulus + 1) // 2 % step
+            sieve[i::step] = bytearray(len(range(i, len(sieve), step)))
 
-    def cond1_class(c: int) -> bytearray:  # p ≡ c (mod 8)  <=>  i ≡ (c - 1)/2 (mod 4)
-        return sieve[(c - 1) // 2 :: 4]
+    def ascending() -> Iterator[int]:  # the 1s left, in index order
+        i = -1
+        while (i := sieve.find(1, i + 1)) >= 0:
+            yield 2 * i + 1
 
-    def ascending() -> Iterator[int]:  # the classes are sliced again and sorted at the first read
-        yield from sorted(itertools.chain.from_iterable(
-            itertools.compress(range(c, p_max + 1, 8), cond1_class(c)) for c in _COND1_RESIDUES))
-
-    matching = sum(cond1_class(c).count(1) for c in _COND1_RESIDUES)
-    return ascending(), DensityReport(k_pm, p_max, matching, total, printed, dirichlet)
+    return ascending(), DensityReport(k_pm, p_max, sieve.count(1), total, printed, dirichlet)
 
 
 def length_residues(family: Shape, r_max: int) -> tuple[list[int], set[int]]:

@@ -36,14 +36,13 @@ def check_budget(method: str, q: int, budget: int = DEFAULT_BUDGET) -> int:
     covers: every pair of SL2(F_q)^2, (q(q^2-1))^2, for "pairs", every
     triple of F_q^3, q^3, for "scan".  Raises BudgetExceededError when it is over the budget
     (default 10^8).  Needs q alone, so it can run before q is factored or
-    the field is built."""
+    the field is built.  A budget below 1 covers nothing, and is refused."""
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     total = (q * (q * q - 1)) ** 2 if method == "pairs" else q**3
     if total > budget:
-        what, cases, hint = (
-            ("pair enumeration", "pairs", "; use trace_scan instead")
-            if method == "pairs"
-            else ("trace scan", "triples", "")
-        )
+        what, cases, hint = (("pair enumeration", "pairs", "; use trace_scan instead") if method == "pairs"
+                             else ("trace scan", "triples", ""))
         # both counts are at least q: past the budget, q says enough, and
         # the count may be too long to print
         covers = total if q <= budget else f"more than {budget}"
@@ -133,7 +132,7 @@ def make_field(p: int, n: int) -> FieldSpec:
 Tables = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)  # a request reads one field's tables: the kernel and sl2_group
 def field_tables(field: FieldSpec) -> Tables:
     """(add, mul): q x q tables with add[a][b] and mul[a][b] the indices of
     the sum and the product of the elements with indices a and b.

@@ -100,6 +100,30 @@ def test_factorize_bound():
             factorize(big)
 
 
+def test_factorize_cache_is_bounded():
+    # a request factors q, p and 2*k_pm+1, p more than once; the cache keeps
+    # a few entries, not one per integer ever tested (is_prime over
+    # range(10**6) would leave 999,998 of them and a 348 MB peak)
+    bound = factorize.cache_info().maxsize
+    assert bound is not None
+    for n in range(10**6, 10**6 + 3 * bound):
+        is_prime(n)
+    assert factorize.cache_info().currsize <= bound
+
+
+@pytest.mark.parametrize("argv", [
+    ["conditions", "--p", "1000000007", "--n", "3", "--k", "12"],
+    ["image", "--q", "11", "--family", "x2yk:+,k=2", "--method", "scan"],
+], ids=["conditions", "image"])
+def test_factorize_cache_covers_a_request(monkeypatch, capsys, argv):
+    # within one request, every repeated factorization is a cache hit
+    cached, calls = arith.factorize, []
+    cached.cache_clear()
+    monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or cached(n))
+    cli.main(argv)
+    assert cached.cache_info().misses == len(set(calls)) < len(calls)
+
+
 def test_odd_prime_power():
     assert odd_prime_power(27) == (3, 3)
     assert odd_prime_power(13) == (13, 1)
@@ -416,9 +440,9 @@ def test_scan_primes_strikes_match_per_prime_verdicts(k_pm, p_max):
 
 
 def test_scan_primes_at_every_small_bound():
-    # every residue mod 8 ends a class slice of the sieve somewhere in
-    # 3..400, so an off-by-one in the slices that the count reads, or in
-    # those that the listing reads, shows; m = 5 and 25 are ramified, m = 35
+    # every residue mod 8 ends the sieve somewhere in 3..400, so an
+    # off-by-one in the start or stride of a strike, or at the end of the
+    # walk that lists the 1s, shows; m = 5 and 25 are ramified, m = 35
     # composite, m = 49 a prime square, m = 5005 four primes, m = 40001 > p_max
     for k_pm in (2, 3, 12, 17, 24, 2502, 20000):
         for p_max in range(3, 401):
@@ -440,9 +464,10 @@ def test_scan_primes_count_matches_listing(k_pm, p_max):
 
 def test_density_builds_no_prime_list(capsys):
     # the density request counts the 1s left in the struck sieve: its traced
-    # peak stays below the sieve, one strike buffer (a third of the sieve at
-    # most, for the multiples of 3) and one class slice (a quarter).  The
-    # 166,111 kept primes below 10^7 as a list would add about 6 MB.
+    # peak is the sieve and one strike buffer (a third of the sieve at most,
+    # for the multiples of 3), below the bound, which keeps a quarter of the
+    # sieve besides.  The 166,111 kept primes below 10^7 as a list would add
+    # about 6 MB.
     x = 10**7
     sieve_bytes = (x + 1) // 2
     tracemalloc.start()
@@ -453,6 +478,23 @@ def test_density_builds_no_prime_list(capsys):
         tracemalloc.stop()
     assert json.loads(capsys.readouterr().out)["matching_prime_count"] == 166_111
     assert peak < sieve_bytes + sieve_bytes // 3 + sieve_bytes // 4, peak
+
+
+def test_scan_listing_holds_one_list():
+    # the iterator walks the 1s of the struck sieve in order: listing it
+    # holds the sieve and one list of the kept primes, as ints (32 bytes
+    # each) in 8-byte slots with half again for the list's growth, and no
+    # sorted copy or class slice besides
+    x, kept = 10**7, 166_111
+    sieve_bytes = (x + 1) // 2
+    tracemalloc.start()
+    try:
+        primes = list(scan_primes(12, x)[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(primes) == kept and primes == sorted(primes)
+    assert peak < sieve_bytes + kept * (32 + 8 * 3 // 2), peak
 
 
 def test_scan_json_builds_no_text_line(capsys):

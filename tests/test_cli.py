@@ -294,6 +294,14 @@ def test_image_budget_message_counts_covered_cases(capsys):
     assert err == "error: trace scan covers 101847563 triples, over the budget 100000000\n"
 
 
+@pytest.mark.parametrize("method", ["pairs", "scan"])
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_image_budget_below_one_is_refused(capsys, budget, method):
+    # a budget below 1 covers nothing: its own message, not an over-budget count
+    code, out, err = run(capsys, "image", "--q", "3", "--word", "x1", "--method", method, "--budget", budget)
+    assert (code, out, err) == (2, "", f"error: budget must be >= 1, got {budget}\n")
+
+
 def test_image_budget_env_override(capsys):
     code, _, err = run(capsys, "image", "--q", "3", "--word", "x1", "--method", "pairs", "--budget", "10")
     assert code == 2

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from wordmaps.arith import check_nonsurjectivity_conditions, odd_prime_power, RamifiedPrimeError
+from wordmaps import cli, gf
+from wordmaps.arith import check_nonsurjectivity_conditions, odd_prime_power, primes_up_to, RamifiedPrimeError
 from wordmaps.gf import (
     BudgetExceededError,
     _is_irreducible,
@@ -88,6 +89,27 @@ def test_field_tables_match_oracle_exhaustive(p, n):
         for b, y in enumerate(elems):
             assert add[a][b] == (x + y).index, (a, b)
             assert mul[a][b] == (x * y).index, (a, b)
+
+
+def test_field_tables_cache_is_bounded():
+    # a request reads one field's tables; the cache keeps a few fields, not
+    # every field ever built (scans over the 77 odd primes below 400 would
+    # peak at 92 MB)
+    bound = field_tables.cache_info().maxsize
+    assert bound is not None
+    for p in primes_up_to(100)[1 : 1 + 3 * bound]:
+        field_tables(make_field(p, 1))
+    assert field_tables.cache_info().currsize <= bound
+
+
+def test_field_tables_cache_covers_a_request(monkeypatch, capsys):
+    # the pairs request reads the tables in sl2_group and in the kernel: one build
+    cached, calls = gf.field_tables, []
+    cached.cache_clear()
+    sl2_group.cache_clear()
+    monkeypatch.setattr(gf, "field_tables", lambda field: calls.append(field) or cached(field))
+    assert cli.main(["image", "--q", "5", "--word", "x1", "--method", "pairs"]) == 0
+    assert cached.cache_info().misses == len(set(calls)) == 1 < len(calls)
 
 
 @pytest.mark.parametrize("p,n", TABLE_FIELDS)
