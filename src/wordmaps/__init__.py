@@ -44,7 +44,6 @@ from .words import (
     is_proper_power,
     parse_family,
     parse_word,
-    render,
     trace_equivalent,
     y1,
     yk,

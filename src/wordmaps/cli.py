@@ -1,18 +1,18 @@
 """Command-line front end.
 
 Each `cmd_*` returns `(exit_code, records, text_lines)`, with `text_lines`
-None for the default `k=v` text, and read only for the text format; `main`
-is the one place that emits the records and maps errors to exit codes: 0 =
-verified/true, 1 = checked-and-false, 2 = usage or input error.  JSON
-output is one document per line; CSV flattens one record per row.  Every
-subcommand prints the same bytes on every run: `image` reports carry no
-timing.  A reader that closes the pipe early gets no traceback, and the
-exit code stays the command's.  Certificates are computed in `tracepoly`;
-this module only renders them.  `image` names its field by `--q` alone;
-`verify`'s k range, `conditions --k` and `lengths --r-max` exit 2 past
-`check_family_index`.  `main` builds the parser of only the subcommand its
-argv names, and all seven for any other argv, such as `-h`; help and
-refusals print alike.
+read only for the text format (`verify`'s `k=v` lines are built from its
+records as they are read); `main` is the one place that emits the records
+and maps errors to exit codes: 0 = verified/true, 1 = checked-and-false,
+2 = usage or input error.  JSON output is one document per line; CSV
+flattens one record per row.  Every subcommand prints the same bytes on
+every run: `image` reports carry no timing.  A reader that closes the pipe
+early gets no traceback, and the exit code stays the command's.
+Certificates are computed in `tracepoly`; this module only renders them.
+`image` names its field by the required `--q`; `verify`'s k range,
+`conditions --k` and `lengths --r-max` exit 2 past `check_family_index`.
+`main` builds the parser of only the subcommand its argv names, and all
+seven for any other argv, such as `-h`; help and refusals print alike.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ EPILOG = (
 
 _VARIANTS = {1: "plus", -1: "minus"}
 
-Result = tuple[int, list[dict], Iterable[str] | None]
+Result = tuple[int, list[dict], Iterable[str]]
 
 
 def _csv_cell(value) -> str:
@@ -49,7 +49,7 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit(records: list[dict], fmt: str, text_lines: Iterable[str] | None) -> None:
+def _emit(records: list[dict], fmt: str, text_lines: Iterable[str]) -> None:
     if fmt == "json":
         for record in records:
             print(json.dumps(record, ensure_ascii=False))
@@ -63,11 +63,6 @@ def _emit(records: list[dict], fmt: str, text_lines: Iterable[str] | None) -> No
             for record in records:
                 writer.writerow([_csv_cell(record.get(key)) for key in header])
     else:
-        if text_lines is None:
-            text_lines = (
-                "  ".join(f"{k}={_csv_cell(v)}" for k, v in record.items())
-                for record in records
-            )
         for line in text_lines:
             print(line)
 
@@ -117,7 +112,8 @@ def cmd_verify(args) -> Result:
     signs = {"plus": (1,), "minus": (-1,), "all": (1, -1)}[args.variant]
     shapes = tuple(words.Shape) if args.shape == "all" else (words.Shape(args.shape),)
     certs = list(_certificates(args.lemma, args.k_min, args.k_max, signs, shapes))
-    return (0 if all(cert["verdict"] for cert in certs) else 1), certs, None
+    lines = ("  ".join(f"{k}={_csv_cell(v)}" for k, v in cert.items()) for cert in certs)
+    return (0 if all(cert["verdict"] for cert in certs) else 1), certs, lines
 
 
 def cmd_conditions(args) -> Result:
@@ -130,8 +126,6 @@ def cmd_conditions(args) -> Result:
 
 
 def cmd_image(args) -> Result:
-    if args.q is None:
-        raise ValueError("provide --q")
     # The budget is checked from q alone, before q is factored or the
     # field is built: both take far longer than the check for a large q.
     gf.check_budget(args.method, args.q, args.budget)
@@ -244,7 +238,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         _add_format(sub, "json")
 
     if sub := add("image", help="enumerate the word-map image over F_q"):
-        sub.add_argument("--q", type=int, help="field order, an odd prime power")
+        sub.add_argument("--q", type=int, required=True, help="field order, an odd prime power")
         group = sub.add_mutually_exclusive_group(required=True)
         group.add_argument("--word", help="word text")
         group.add_argument("--family", help="family mini-syntax, e.g. 'x2yk:+,k=2'")

@@ -181,11 +181,11 @@ def field_tables(field: FieldSpec) -> Tables:
     return tuple(add), mul
 
 
-@functools.lru_cache(maxsize=None)
 def sl2_group(field: FieldSpec) -> tuple[tuple[int, int, int, int], ...]:
     """All of SL2(F_q) as index 4-tuples (a, b, c, d) of [a b; c d], by the
     definition: the quadruples of F_q^4, in lexicographic order, with
-    ad = 1 + bc.  |SL2(F_q)| = q(q^2-1)."""
+    ad = 1 + bc.  |SL2(F_q)| = q(q^2-1).  Not cached: a request lists one
+    group once."""
     add, mul = field_tables(field)
     return tuple(
         (a, b, c, d)

@@ -267,7 +267,7 @@ def _step(e: list[dict[int, int]], rule: tuple) -> list[dict[int, int]]:
     return [_combine(*[(sign, e[i], shift) for sign, i, shift in parts]) for parts in rule]
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=8)  # a request repeats a word 3 other words later at most: tau(y1(+-1))
 def tau(w: Word) -> TracePolynomial:
     """Trace polynomial of w: for every field and every determinant-1 pair
     (x, y), tr(w(x, y)) = tau(w)(tr x, tr y, tr xy).

@@ -85,30 +85,26 @@ class Word:
         return not self.letters
 
     def __str__(self) -> str:
-        return render(self)
+        """Canonical text: run-length syllables like ``x1^2 x2^-1``.
+
+        Exponent 1 is elided and terms are space-separated; the empty word
+        renders as the empty string (which parses back to the empty word).
+        A reduced word never puts a letter beside its inverse, so each
+        syllable is a run of one letter.
+
+        >>> str(parse_word("x1 x1 x1 x2^-1"))
+        'x1^3 x2^-1'
+        """
+        runs = [(abs(l), len(list(g)) * (1 if l > 0 else -1)) for l, g in itertools.groupby(self.letters)]
+        return " ".join(f"x{gen}" if exp == 1 else f"x{gen}^{exp}" for gen, exp in runs)
 
     def __repr__(self) -> str:
-        return f"Word({render(self)!r})"
+        return f"Word({str(self)!r})"
 
 
 def commutator(a: Word, b: Word) -> Word:
     """[a, b] = a^-1 b^-1 a b."""
     return (~a) * (~b) * a * b
-
-
-def render(w: Word) -> str:
-    """Canonical text: run-length syllables like ``x1^2 x2^-1``.
-
-    Exponent 1 is elided and terms are space-separated; the empty word
-    renders as the empty string (which parses back to the empty word).
-    A reduced word never puts a letter beside its inverse, so each
-    syllable is a run of one letter.
-
-    >>> render(parse_word("x1 x1 x1 x2^-1"))
-    'x1^3 x2^-1'
-    """
-    runs = [(abs(l), len(list(g)) * (1 if l > 0 else -1)) for l, g in itertools.groupby(w.letters)]
-    return " ".join(f"x{gen}" if exp == 1 else f"x{gen}^{exp}" for gen, exp in runs)
 
 
 class WordSyntaxError(ValueError):

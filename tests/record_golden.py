@@ -29,7 +29,10 @@ from wordmaps.cli import main  # noqa: E402
 def record(argv: list[str]) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # an argparse refusal exits with its code
+            code = exc.code
     digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     return {"argv": argv, "exit": code, "stdout_sha256": digest}
 

@@ -155,10 +155,8 @@ def test_verify_refuses_its_k_range_before_any_certificate(capsys, monkeypatch, 
          "error: factorization requires k >= 1"),
         (("verify", "--lemma", "cyclotomic", "--k-min", "0", "--k-max", "2"),
          "error: cyclotomic requires k >= 1 (k is k_pm here)"),
-        (("image", "--word", "x1", "--method", "scan"),
-         "error: provide --q"),
     ],
-    ids=["factorization-k0", "cyclotomic-k0", "image-no-field"],
+    ids=["factorization-k0", "cyclotomic-k0"],
 )
 def test_usage_error_messages(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -251,9 +249,9 @@ def run_refused(capsys, *argv):
 
 
 def test_image_p_n_flags(capsys):
-    # image names its field by --q alone: --p/--n are no options of it
+    # image names its field by --q alone: --p/--n do not stand in for it
     err = run_refused(capsys, "image", "--p", "3", "--n", "2", "--word", "x1", "--method", "scan")
-    assert "unrecognized arguments: --p 3 --n 2" in err
+    assert "the following arguments are required: --q" in err
 
 
 @pytest.mark.parametrize("extra", [("--p", "5", "--n", "1"), ("--p", "3"), ("--n", "2")])
@@ -529,6 +527,13 @@ def refusal(capsys, parse, argv):
         parse(list(argv))
     captured = capsys.readouterr()
     return exc.value.code, captured.out, captured.err
+
+
+def test_image_requires_q(capsys):
+    # argparse refuses a missing field: SystemExit(2) out of main
+    code, out, err = refusal(capsys, main, ("image", "--word", "x1", "--method", "scan"))
+    assert (code, out) == (2, "")
+    assert err.endswith("wordmaps image: error: the following arguments are required: --q\n")
 
 
 @pytest.mark.parametrize(

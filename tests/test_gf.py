@@ -1,5 +1,7 @@
+import gc
 import itertools
 import json
+import tracemalloc
 
 import pytest
 
@@ -106,10 +108,27 @@ def test_field_tables_cache_covers_a_request(monkeypatch, capsys):
     # the pairs request reads the tables in sl2_group and in the kernel: one build
     cached, calls = gf.field_tables, []
     cached.cache_clear()
-    sl2_group.cache_clear()
     monkeypatch.setattr(gf, "field_tables", lambda field: calls.append(field) or cached(field))
     assert cli.main(["image", "--q", "5", "--word", "x1", "--method", "pairs"]) == 0
     assert cached.cache_info().misses == len(set(calls)) == 1 < len(calls)
+
+
+def test_sl2_group_holds_nothing_after_returning(monkeypatch):
+    # a request lists its one group once, so nothing keeps the groups: the
+    # 2,184 index 4-tuples of SL2(F_13) alone take about 170 KB
+    fields = [make_field(p, 1) for p in (5, 7, 11, 13)]
+    tables = {field: field_tables(field) for field in fields}
+    monkeypatch.setattr(gf, "field_tables", tables.__getitem__)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sizes = [len(sl2_group(field)) for field in fields]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [f.q * (f.q**2 - 1) for f in fields]
+    assert held < 32 * 1024, held
 
 
 @pytest.mark.parametrize("p,n", TABLE_FIELDS)

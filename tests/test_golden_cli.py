@@ -11,11 +11,12 @@ entry, so the README's claim that they are pinned is checked.
 A new entry is produced from the sources before the change it guards: in a
 `git worktree` (or `git archive`) of the parent commit, pipe its argv as a
 JSON list to `tests/record_golden.py`, which runs `cli.main(argv)` with
-stdout captured and prints the entry line: the return value and the sha256
-of the captured text.  An error that the change itself introduces, such as a
-new cap, has no parent output and is recorded after the change; so is a
-command that the parent cannot finish in reasonable time, such as a scan
-with 2*k_pm+1 near 2*10^12.  Existing entries are never regenerated.
+stdout captured and prints the entry line: the return value (or the code of
+an argparse refusal's `SystemExit`) and the sha256 of the captured text.
+An error that the change itself introduces, such as a new cap, has no
+parent output and is recorded after the change; so is a command that the
+parent cannot finish in reasonable time, such as a scan with 2*k_pm+1 near
+2*10^12.  Existing entries are never regenerated.
 """
 
 import hashlib
@@ -34,7 +35,10 @@ README = Path(__file__).parent.parent / "README.md"
 
 @pytest.mark.parametrize("entry", GOLDEN, ids=[" ".join(e["argv"]) for e in GOLDEN])
 def test_cli_output_matches_golden(entry, capsys):
-    code = main(list(entry["argv"]))
+    try:
+        code = main(list(entry["argv"]))
+    except SystemExit as exc:  # an argparse refusal exits with its code
+        code = exc.code
     out = capsys.readouterr().out
     assert code == entry["exit"]
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == entry["stdout_sha256"]

@@ -1,11 +1,13 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
 import math
 from fractions import Fraction
 
-from wordmaps import tracepoly
+from wordmaps import cli, tracepoly
 from wordmaps.tracepoly import (
     S,
     T,
@@ -259,6 +261,36 @@ def test_verify_factorization_small_range():
             for inner in (1, -1):
                 lhs, rhs, verdict = factorization_certificate(k, which, inner)
                 assert verdict and lhs == rhs, (k, which, inner)
+
+
+def test_certificates_leave_no_cache_behind():
+    # the 72 certificates for k <= 12 walk 74 distinct words; a request reads
+    # none of them again but tau(y1(+-1)), so the cache keeps only the last
+    # few: about 0.9 MB stays held, where a cache of all 74 holds 3.3 MB
+    tau.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for k in range(1, 13):
+            for which in Shape:
+                for inner in (1, -1):
+                    factorization_certificate(k, which, inner)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert tau.cache_info().hits == 70
+    assert held < 2_000_000, held
+
+
+def test_tau_cache_covers_a_request(capsys):
+    # 18 certificates; every one after the first for each sign finds tau(y1)
+    tau.cache_clear()
+    assert cli.main(["verify", "--lemma", "factorization", "--k-min", "1", "--k-max", "3"]) == 0
+    capsys.readouterr()
+    info = tau.cache_info()
+    assert (info.hits, info.misses) == (16, 20)
+    assert info.currsize <= info.maxsize
 
 
 # -- the second factorization clause as a free-group identity, checked
