@@ -16,6 +16,15 @@ numerically against random integer determinant-1 matrices), and finally
 reads the trace off the coordinates via tr(1) = 2, tr(X) = s, tr(Y) = t,
 tr(XY) = u.  All coefficients are exact arbitrary-precision integers.
 
+A product by x1^±1 reads 11 rule terms and one by x2^±1 reads 6, so the
+walk takes the cheapest of four words with the same trace: w, w^-1
+(tr g^-1 = tr g for determinant 1), w with x1 and x2 swapped, and the
+inverse of that (tr w(y, x) = tau(w)(t, s, u), as tr yx = tr xy).  The
+cost of a form is the sum of (i+1)^2 over the positions i of the letters
+it walks as x1^±1, since the coordinates grow along the walk (ties as
+_cheapest_form says); a swapped form has its s and t exchanged when the
+result is read off.
+
 Inside the walk a monomial s^i t^j u^k is the int i*B^2 + j*B + k with
 B = 2^bits > len(w) + 1, so a product by s, t or u adds a constant to the
 key.  No exponent carries into the next field: each letter raises each
@@ -267,15 +276,46 @@ def _step(e: list[dict[int, int]], rule: tuple) -> list[dict[int, int]]:
     return [_combine(*[(sign, e[i], shift) for sign, i, shift in parts]) for parts in rule]
 
 
+def _cheapest_form(w: tuple[int, ...]) -> int:
+    """Which form of the cyclically reduced w tau walks: 0 for w, 1 for
+    w^-1, 2 for w with x1 and x2 swapped, 3 for the inverse of that.  The
+    cost of a form is the sum of (i+1)^2 over the positions i of its
+    letters walked as x1^±1 (module docstring); the least wins.  A core
+    whose x1 positions read the same both ways ties a form with its
+    inverse, as x1^-2 y_k and x1^2 y_(-k) do; the tie goes to the form
+    that steps by x1^-1 and then by x2^-1 the fewest times, then to the
+    first in this order.  That tie-break is measured, not derived: with it
+    no family word up to k = 24 walks dearer than w itself."""
+    n = len(w)
+    forward = sum((i + 1) ** 2 for i, letter in enumerate(w) if letter in (1, -1))
+    backward = sum((n - i) ** 2 for i, letter in enumerate(w) if letter in (1, -1))
+    every = n * (n + 1) * (2 * n + 1) // 6  # the sum of (i+1)^2 over all positions
+    pairs = list(zip(w, w[1:]))  # the pairs of w that each form walks as x1^-1 x2^-1:
+    ties = (pairs.count((-1, -2)), pairs.count((2, 1)), pairs.count((-2, -1)), pairs.count((1, 2)))
+    costs = list(zip((forward, backward, every - forward, every - backward), ties))
+    return costs.index(min(costs))
+
+
 @functools.lru_cache(maxsize=8)  # a request repeats a word 3 other words later at most: tau(y1(+-1))
 def tau(w: Word) -> TracePolynomial:
     """Trace polynomial of w: for every field and every determinant-1 pair
     (x, y), tr(w(x, y)) = tau(w)(tr x, tr y, tr xy).
 
     Trace is a class function, so only the cyclically reduced core of w is
-    walked, one _step per letter from e = 1, on the packed keys of the module
-    docstring; they are unpacked once, at the end."""
-    w = cyclic_reduce(w)[1]
+    walked.  Four forms of the core have its trace: the core, its inverse
+    (tr g^-1 = tr g for determinant 1), the core with x1 and x2 swapped
+    (tr w(y, x) = tau(w)(t, s, u), as tr yx = tr xy) and the inverse of
+    that.  The walk takes the form whose letters walked as x1^±1, the
+    costlier rule, have the least sum of (i+1)^2 over their positions i
+    (_cheapest_form, which also breaks ties), one _step per letter from
+    e = 1, on the packed keys of the module docstring; they are unpacked
+    once, at the end, with s and t exchanged for a swapped form."""
+    w = cyclic_reduce(w)[1].letters
+    form = _cheapest_form(w)
+    if form & 1:
+        w = tuple(-letter for letter in reversed(w))
+    if form & 2:
+        w = tuple(3 - letter if letter > 0 else -3 - letter for letter in w)
     bits = (len(w) + 2).bit_length()  # every exponent is <= len(w) + 1 < 2^bits = B
     rules = _packed_rules(bits)
     e = [{0: 1}, {}, {}, {}]
@@ -283,7 +323,8 @@ def tau(w: Word) -> TracePolynomial:
         e = _step(e, rules[letter])
     (c1, cx, cy, cxy), s, t, u, mask = e, 1 << 2 * bits, 1 << bits, 1, (1 << bits) - 1
     trace = _combine((1, c1, 0), (1, c1, 0), (1, cx, s), (1, cy, t), (1, cxy, u))
-    return TracePolynomial({(m >> 2 * bits, (m >> bits) & mask, m & mask): c for m, c in trace.items()})
+    s_at, t_at = (bits, 2 * bits) if form & 2 else (2 * bits, bits)  # a swapped form walked s as t
+    return TracePolynomial({((m >> s_at) & mask, (m >> t_at) & mask, m & mask): c for m, c in trace.items()})
 
 
 def _dicksons() -> Iterator[TracePolynomial]:

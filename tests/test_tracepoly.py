@@ -25,6 +25,7 @@ from wordmaps.tracepoly import (
 from wordmaps.words import (
     Shape,
     Word,
+    cyclic_reduce,
     family_word,
     parse_word,
     trace_equivalent,
@@ -117,8 +118,10 @@ def test_tau_soundness_over_finite_fields(corpus):
 
 
 def test_tau_inverse_invariance(corpus):
+    # tau(w) may walk the letters of w^-1, so the law is checked against
+    # the oracle's walk of w's own letters
     for w in corpus:
-        assert tau(~w) == tau(w)
+        assert tau(~w) == oracle_tau(w)
 
 
 def test_tau_conjugation_invariance(corpus, rng):
@@ -151,10 +154,44 @@ def _oracle_words(kind: str, corpus) -> list[Word]:
     return [Word(base * n) for b in range(3, 8) for n in range(2**b - 2, 2**b + 2) for base in bases]
 
 
+# The forms of its core that tau walks, by corpus (tracepoly._cheapest_form:
+# 0 the core, 1 its inverse, 2 the core with x1 and x2 swapped, 3 the
+# inverse of that): the x1-heavy family words take only swapped forms, and
+# the corpora together take all four.
+_FORMS = {"corpus": {0, 1, 2, 3}, "families": {2, 3}, "random": {0, 1, 2, 3}, "powers": {0, 1, 2}}
+
+
 @pytest.mark.parametrize("kind", ["corpus", "families", "random", "powers"])
 def test_tau_matches_oracle_walk(kind, corpus):
+    forms = set()
     for w in _oracle_words(kind, corpus):
         assert tau(w) == oracle_tau(w), str(w)
+        forms.add(tracepoly._cheapest_form(cyclic_reduce(w)[1].letters))
+    assert forms == _FORMS[kind]
+
+
+def test_tau_walks_no_family_word_dearer_than_the_word_itself(monkeypatch):
+    # the cost of a walk: the dict entries _combine reads, 1 for the copied
+    # first part and 2.5 for each merged one; x1^2 y_(-2) with inner sign -1
+    # is the family word that a tie broken by order alone walks dearer
+    read = [0.0]
+    combine = tracepoly._combine
+
+    def counted(*parts):
+        read[0] += len(parts[0][1]) + 2.5 * sum(len(poly) for _, poly, _ in parts[1:])
+        return combine(*parts)
+
+    def cost(w):
+        read[0] = 0.0
+        tau.__wrapped__(w)
+        return read[0]
+
+    monkeypatch.setattr(tracepoly, "_combine", counted)
+    words = [family_word(shape, sign, k) for shape in Shape for sign in (1, -1) for k in range(1, 9)]
+    chosen = [cost(w) for w in words]
+    monkeypatch.setattr(tracepoly, "_cheapest_form", lambda w: 0)
+    for w, walked in zip(words, chosen):
+        assert walked <= cost(w), str(w)
 
 
 def test_derived_inverse_rules_undo_their_letter():
