@@ -1,13 +1,16 @@
 """Command-line front end.
 
-Each `cmd_*` returns `(exit_code, records, text_lines)`, with `text_lines`
-read only for the text format (`verify`'s `k=v` lines are built from its
-records as they are read); `main` is the one place that emits the records
-and maps errors to exit codes: 0 = verified/true, 1 = checked-and-false,
-2 = usage or input error.  JSON output is one document per line; CSV
-flattens one record per row.  Every subcommand prints the same bytes on
-every run: `image` reports carry no timing.  A reader that closes the pipe
-early gets no traceback, and the exit code stays the command's.
+Each `cmd_*` validates its input and returns a `Result`, `(code, records,
+text_of)`: `records` may be lazy, as `verify`'s certificates are, and
+`text_of(record)` is that record's text, built only for the text format.
+`main` prints each record as it is made and is the one place that maps
+outcomes to exit codes: 1 if a printed record says `"verdict": false`, 2
+for a usage or input error, and else the command's code, which is 0 for
+all but `image`.  JSON output is one document per line; CSV flattens one
+record per row under the first record's keys.  Every subcommand prints the
+same bytes on every run: `image` reports carry no timing.  A reader that
+closes the pipe stops the request at once, with no traceback, and the exit
+code is that of the records printed.
 Certificates are computed in `tracepoly`; this module only renders them.
 `image` names its field by the required `--q`; `verify`'s k range,
 `conditions --k` and `lengths --r-max` exit 2 past `check_family_index`.
@@ -21,7 +24,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import arith, gf, tracepoly, words
 
@@ -36,7 +39,7 @@ EPILOG = (
 
 _VARIANTS = {1: "plus", -1: "minus"}
 
-Result = tuple[int, list[dict], Iterable[str]]
+Result = tuple[int, Iterable[dict], Callable[[dict], str]]
 
 
 def _csv_cell(value) -> str:
@@ -49,32 +52,40 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit(records: list[dict], fmt: str, text_lines: Iterable[str]) -> None:
-    if fmt == "json":
+def _emit(records: Iterable[dict], fmt: str, text_of: Callable[[dict], str]) -> bool:
+    """Print each record as it comes, until a closed pipe stops it; return
+    whether a printed record says `"verdict": false`."""
+    failed, writer = False, None
+    try:
         for record in records:
-            print(json.dumps(record, ensure_ascii=False))
-    elif fmt == "csv":
-        import csv  # only this branch needs it, so no other request pays for the import
+            if fmt == "json":
+                print(json.dumps(record, ensure_ascii=False))
+            elif fmt == "csv":
+                if writer is None:
+                    import csv  # only this branch needs it, so no other request pays for the import
 
-        writer = csv.writer(sys.stdout)
-        if records:
-            header = list(records[0].keys())
-            writer.writerow(header)
-            for record in records:
+                    writer, header = csv.writer(sys.stdout), list(record)
+                    writer.writerow(header)
                 writer.writerow([_csv_cell(record.get(key)) for key in header])
-    else:
-        for line in text_lines:
-            print(line)
+            else:
+                print(text_of(record))
+            failed = failed or record.get("verdict") is False
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left: stop, and point stdout at devnull so that the
+        # flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return failed
 
 
-def _field_lines(record: dict) -> list[str]:
-    return [f"{k}: {_csv_cell(v)}" for k, v in record.items()]
+def _fields(record: dict) -> str:
+    return "\n".join(f"{k}: {_csv_cell(v)}" for k, v in record.items())
 
 
 def cmd_trace(args) -> Result:
     w = words.parse_word(args.word)
-    poly = str(tracepoly.tau(w))
-    return 0, [{"word": str(w), "trace_polynomial": poly}], [poly]
+    record = {"word": str(w), "trace_polynomial": str(tracepoly.tau(w))}
+    return 0, [record], lambda r: r["trace_polynomial"]
 
 
 def _certificates(lemma: str, kmin: int, kmax: int, signs, shapes):
@@ -111,9 +122,8 @@ def cmd_verify(args) -> Result:
         words.check_family_index(k)
     signs = {"plus": (1,), "minus": (-1,), "all": (1, -1)}[args.variant]
     shapes = tuple(words.Shape) if args.shape == "all" else (words.Shape(args.shape),)
-    certs = list(_certificates(args.lemma, args.k_min, args.k_max, signs, shapes))
-    lines = ("  ".join(f"{k}={_csv_cell(v)}" for k, v in cert.items()) for cert in certs)
-    return (0 if all(cert["verdict"] for cert in certs) else 1), certs, lines
+    certs = _certificates(args.lemma, args.k_min, args.k_max, signs, shapes)
+    return 0, certs, lambda cert: "  ".join(f"{k}={_csv_cell(v)}" for k, v in cert.items())
 
 
 def cmd_conditions(args) -> Result:
@@ -121,8 +131,7 @@ def cmd_conditions(args) -> Result:
     report = arith.check_nonsurjectivity_conditions(
         args.p, args.n, args.k, words.Shape(args.shape)
     )
-    record = report.to_dict()
-    return (0 if report.verdict else 1), [record], _field_lines(record)
+    return 0, [report.to_dict()], _fields
 
 
 def cmd_image(args) -> Result:
@@ -138,28 +147,25 @@ def cmd_image(args) -> Result:
         w = words.parse_word(args.word)
     runner = gf.enumerate_image_pairs if args.method == "pairs" else gf.trace_scan
     report = runner(w, field, budget=args.budget)
-    record = report.to_dict()
     code = 0
     if args.family is not None and not report.misses_involutions:
         try:  # 1: the conditions hold, yet the image meets the involutions
             code = int(arith.check_nonsurjectivity_conditions(p, n, k, shape).verdict)
         except ValueError:  # the conditions do not apply to this field
             pass
-    return code, [record], _field_lines(record)
+    return code, [report.to_dict()], _fields
 
 
 def cmd_scan(args) -> Result:
     kept, report = arith.scan_primes(args.kpm, args.p_max)
-    primes = list(kept)
-    record = {"kpm": args.kpm, "p_max": args.p_max, "primes": primes}
+    record = {"kpm": args.kpm, "p_max": args.p_max, "primes": list(kept)}
     record.update(report.to_dict())
-    return 0, [record], (" ".join(map(str, ps)) for ps in [primes])  # joined only if text reads it
+    return 0, [record], lambda r: " ".join(map(str, r["primes"]))
 
 
 def cmd_density(args) -> Result:
     _, report = arith.scan_primes(args.kpm, args.x)  # counts the kept primes, never lists them
-    record = report.to_dict()
-    return 0, [record], _field_lines(record)
+    return 0, [report.to_dict()], _fields
 
 
 def cmd_lengths(args) -> Result:
@@ -181,8 +187,7 @@ def cmd_lengths(args) -> Result:
             }
         )
     records.append({"family": "union", "r_max": args.r_max, "residues_mod_18": sorted(union)})
-    lines = [f"{r['family']}: residues mod 18 = {r['residues_mod_18']}" for r in records]
-    return 0, records, lines
+    return 0, records, lambda r: f"{r['family']}: residues mod 18 = {r['residues_mod_18']}"
 
 
 def _add_format(sub, default: str) -> None:
@@ -274,13 +279,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        code, records, text_lines = _COMMANDS[args.command](args)
-        _emit(records, args.format, text_lines)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader left: keep the exit code, and point stdout at devnull
-        # so that the flush at interpreter exit cannot raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code, records, text_of = _COMMANDS[args.command](args)
+        return 1 if _emit(records, args.format, text_of) else code
     except arith.CongruenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -288,7 +288,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         kind = "syntax error: " if isinstance(exc, words.WordSyntaxError) else ""
         print(f"error: {kind}{exc}", file=sys.stderr)
         return 2
-    return code
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -174,6 +176,30 @@ def test_verify_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("lemma,k,variant,verdict")
     assert len(lines) == 1 + 4
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_a_false_certificate_exits_1_after_every_record(capsys, monkeypatch, fmt):
+    # main reads the exit code off the verdicts it printed; the false
+    # certificates at k = 0 neither stop the range nor hide its later records
+    swap = tracepoly.swap_certificate
+
+    def false_at_zero(k, sign):
+        lhs, rhs, verdict = swap(k, sign)
+        return lhs, rhs, verdict and k != 0
+
+    monkeypatch.setattr(tracepoly, "swap_certificate", false_at_zero)
+    code, out, _ = run(capsys, "verify", "--lemma", "swap", "--k-min", "-2", "--k-max", "2",
+                       "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        rows = [(r["k"], r["verdict"]) for r in json_lines(out)]
+    elif fmt == "csv":
+        rows = [(int(r["k"]), r["verdict"] == "true") for r in csv.DictReader(io.StringIO(out))]
+    else:  # lemma=swap  k=K  variant=V  verdict=B  lhs=...  rhs=...
+        fields = [dict(f.split("=", 1) for f in line.split("  ")[:4]) for line in out.splitlines()]
+        rows = [(int(f["k"]), f["verdict"] == "true") for f in fields]
+    assert rows == [(k, k != 0) for k in range(-2, 3) for _ in ("plus", "minus")]
 
 
 # -- conditions --
@@ -595,13 +621,14 @@ def test_seed_corpus_is_no_option(capsys):
 
 # -- closed pipes --
 
-def test_closed_pipe_keeps_exit_code_without_traceback():
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_closed_pipe_keeps_exit_code_without_traceback(fmt):
     # about 1 MB of certificates, far beyond a 64 KB pipe buffer; the
     # reader leaves after 100 bytes
     env = dict(os.environ, PYTHONPATH=str(Path(wordmaps.__file__).parent.parent))
     proc = subprocess.Popen(
         [sys.executable, "-m", "wordmaps", "verify", "--lemma", "factorization",
-         "--k-min", "1", "--k-max", "12"],
+         "--k-min", "1", "--k-max", "12", "--format", fmt],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     assert len(proc.stdout.read(100)) == 100
@@ -611,16 +638,37 @@ def test_closed_pipe_keeps_exit_code_without_traceback():
     assert err == b""
 
 
-def test_closed_pipe_in_process(monkeypatch):
-    # the flush in main meets the closed pipe: BrokenPipeError, caught there
+def closed_pipe_main(monkeypatch, *argv):
+    # main with stdout on a pipe whose reader has left
     read_end, write_end = os.pipe()
     os.close(read_end)
     stdout = open(write_end, "w")
     monkeypatch.setattr(sys, "stdout", stdout)
     try:
-        assert main(["scan", "--kpm", "2", "--p-max", "100"]) == 0
+        return main(list(argv))
     finally:
         stdout.close()  # flushes into devnull, which now holds the descriptor
+
+
+def test_closed_pipe_in_process(monkeypatch):
+    # the flush in _emit meets the closed pipe: BrokenPipeError, caught there
+    assert closed_pipe_main(monkeypatch, "scan", "--kpm", "2", "--p-max", "100") == 0
+
+
+def test_closed_pipe_stops_verify_at_once(monkeypatch):
+    # each certificate is printed as it is made, so the first write that
+    # meets the closed pipe ends the request, well before the range's 72
+    calls = []
+    certify = tracepoly.factorization_certificate
+
+    def counted(*args):
+        calls.append(args)
+        return certify(*args)
+
+    monkeypatch.setattr(tracepoly, "factorization_certificate", counted)
+    argv = ("verify", "--lemma", "factorization", "--k-min", "1", "--k-max", "12")
+    assert closed_pipe_main(monkeypatch, *argv) == 0
+    assert 0 < len(calls) < 72
 
 
 def test_no_subcommand_is_usage_error(capsys):
